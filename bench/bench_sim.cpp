@@ -1,20 +1,25 @@
 // Simulator-engine benchmarks (google-benchmark): wall-clock of
-// simulate_layer on a ResNet50 layer sweep, comparing the scalar Reference
-// interpreter against the fast engine at 1/2/8 jobs and the stats-only
+// simulate_layer over ResNet50, comparing the scalar Reference interpreter
+// against the fast engine at 1/2/8 jobs and the stats-only
 // (functional = false) path, with MACCs/s reported per run.
 //
-// The sweep covers the shapes that stress different engine paths: the
-// pad-heavy 7x7 stride-2 stem (guarded edge bursts), a 1x1 bottleneck
-// reduce (pure dense interior), a 3x3 mid-stage conv (mixed), and the
-// fc1000 matmul. Outputs are bit-identical across every variant (pinned by
-// tests/test_sim_engine.cpp); these benchmarks measure only speed.
+// The fast engine runs every ResNet50 overlay layer, so each layer's
+// vector plan (and its operand layout) shows up as its own row. Reference
+// and stats-only rows cover the four shapes that stress different engine
+// paths: the pad-heavy 7x7 stride-2 stem (guarded edge bursts), a 1x1
+// bottleneck reduce (pure dense interior), a 3x3 mid-stage conv (mixed),
+// and the fc1000 matmul. Outputs are bit-identical across every variant
+// (pinned by tests/test_sim_engine.cpp); these benchmarks measure only
+// speed.
 //
 // Unless the caller passes --benchmark_out themselves, results are also
 // written to BENCH_sim.json (google-benchmark's JSON reporter); CI uploads
 // the file as a build artifact.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstring>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -33,45 +38,45 @@ constexpr std::int64_t kBudget = 4'000;
 
 struct LayerCase {
   std::string label;
+  bool reference = false;  ///< also run the Reference / stats-only rows
   compiler::LayerProgram prog;
   nn::Tensor16 weights, input;
 };
 
-LayerCase make_case(const std::string& label, const nn::Layer& layer) {
+LayerCase make_case(const nn::Layer& layer, bool reference) {
   const arch::OverlayConfig cfg = arch::paper_config();
   LayerCase c;
-  c.label = label;
+  c.label = layer.name;
+  std::replace(c.label.begin(), c.label.end(), '/', '_');
+  c.reference = reference;
   c.prog = compiler::compile_layer(layer, cfg, compiler::Objective::Performance,
                                    kBudget);
-  Rng rng(0x5eedULL + std::hash<std::string>{}(label));
-  if (layer.kind == nn::LayerKind::MatMul) {
-    c.input = nn::Tensor16({static_cast<int>(layer.mm_m),
-                            static_cast<int>(layer.mm_p)});
-    c.weights = nn::Tensor16({static_cast<int>(layer.mm_n),
-                              static_cast<int>(layer.mm_m)});
+  // One weight group's shapes: the program simulates a single group.
+  const nn::Layer& part = c.prog.layer;
+  Rng rng(0x5eedULL + std::hash<std::string>{}(c.label));
+  if (part.kind == nn::LayerKind::MatMul) {
+    c.input = nn::Tensor16({static_cast<int>(part.mm_m),
+                            static_cast<int>(part.mm_p)});
+    c.weights = nn::Tensor16({static_cast<int>(part.mm_n),
+                              static_cast<int>(part.mm_m)});
   } else {
-    c.input = nn::Tensor16({layer.in_c, layer.in_h, layer.in_w});
-    c.weights = nn::Tensor16({layer.out_c, layer.in_c, layer.kh, layer.kw});
+    c.input = nn::Tensor16({part.in_c, part.in_h, part.in_w});
+    c.weights = nn::Tensor16({part.out_c, part.in_c, part.kh, part.kw});
   }
   c.input.fill_random(rng);
   c.weights.fill_random(rng);
   return c;
 }
 
-/// The sweep layers, pulled from the ResNet50 model zoo by name.
+/// Every ResNet50 overlay layer, in network order.
 const std::vector<LayerCase>& cases() {
   static const std::vector<LayerCase> all = [] {
-    const nn::Network& net = nn::model_by_name("ResNet50");
-    auto layer = [&](const std::string& name) -> const nn::Layer& {
-      for (const nn::Layer& l : net.layers())
-        if (l.name == name) return l;
-      throw Error("bench_sim: ResNet50 layer not found: " + name);
-    };
+    const std::set<std::string> reference = {
+        "conv1/7x7_s2", "res2_1/conv1_1x1", "res4_1/conv2_3x3", "fc1000"};
     std::vector<LayerCase> v;
-    v.push_back(make_case("conv1_7x7_s2", layer("conv1/7x7_s2")));
-    v.push_back(make_case("res2_1_conv1_1x1", layer("res2_1/conv1_1x1")));
-    v.push_back(make_case("res4_1_conv2_3x3", layer("res4_1/conv2_3x3")));
-    v.push_back(make_case("fc1000", layer("fc1000")));
+    for (const nn::Layer& l :
+         nn::model_by_name("ResNet50").overlay_layers())
+      v.push_back(make_case(l, reference.count(l.name) > 0));
     return v;
   }();
   return all;
@@ -133,9 +138,14 @@ void BM_SimStatsOnly(benchmark::State& state, std::size_t idx) {
 void register_benchmarks() {
   for (std::size_t i = 0; i < cases().size(); ++i) {
     const std::string& label = cases()[i].label;
-    benchmark::RegisterBenchmark(("BM_SimReference/" + label).c_str(),
-                                 BM_SimReference, i)
-        ->Unit(benchmark::kMillisecond);
+    if (cases()[i].reference) {
+      benchmark::RegisterBenchmark(("BM_SimReference/" + label).c_str(),
+                                   BM_SimReference, i)
+          ->Unit(benchmark::kMillisecond);
+      benchmark::RegisterBenchmark(("BM_SimStatsOnly/" + label).c_str(),
+                                   BM_SimStatsOnly, i)
+          ->Unit(benchmark::kMillisecond);
+    }
     for (int jobs : {1, 2, 8}) {
       benchmark::RegisterBenchmark(("BM_SimEngine/" + label).c_str(),
                                    BM_SimEngine, i)
@@ -143,9 +153,6 @@ void register_benchmarks() {
           ->ArgName("jobs")
           ->Unit(benchmark::kMillisecond);
     }
-    benchmark::RegisterBenchmark(("BM_SimStatsOnly/" + label).c_str(),
-                                 BM_SimStatsOnly, i)
-        ->Unit(benchmark::kMillisecond);
   }
 }
 

@@ -362,14 +362,20 @@ std::string render_chrome_trace(const std::vector<TrackNames>& tracks,
     if (!named_pid[t.pid]) {
       named_pid[t.pid] = true;
       sep();
-      out += "{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":" +
-             std::to_string(t.pid) + ",\"tid\":0,\"args\":{\"name\":\"" +
-             json_escape(t.process) + "\"}}";
+      out += "{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":";
+      out += std::to_string(t.pid);
+      out += ",\"tid\":0,\"args\":{\"name\":\"";
+      out += json_escape(t.process);
+      out += "\"}}";
     }
     sep();
-    out += "{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":" +
-           std::to_string(t.pid) + ",\"tid\":" + std::to_string(t.tid) +
-           ",\"args\":{\"name\":\"" + json_escape(t.thread) + "\"}}";
+    out += "{\"ph\":\"M\",\"name\":\"thread_name\",\"pid\":";
+    out += std::to_string(t.pid);
+    out += ",\"tid\":";
+    out += std::to_string(t.tid);
+    out += ",\"args\":{\"name\":\"";
+    out += json_escape(t.thread);
+    out += "\"}}";
   }
   for (const TraceEvent& e : events) {
     sep();
@@ -377,18 +383,31 @@ std::string render_chrome_trace(const std::vector<TrackNames>& tracks,
     out += e.ph;
     out += "\"";
     if (e.ph == 'B') {
-      out += ",\"name\":\"" + json_escape(e.name) + "\",\"cat\":\"" +
-             json_escape(e.cat) + "\"";
+      out += ",\"name\":\"";
+      out += json_escape(e.name);
+      out += "\",\"cat\":\"";
+      out += json_escape(e.cat);
+      out += "\"";
     }
-    out += ",\"ts\":" + json_double(e.ts) + ",\"pid\":" +
-           std::to_string(e.pid) + ",\"tid\":" + std::to_string(e.tid);
+    // Appends, not an operator+ chain: GCC 12 at -O3 reports a false
+    // -Wrestrict overlap on chained string temporaries (GCC PR105329).
+    out += ",\"ts\":";
+    out += json_double(e.ts);
+    out += ",\"pid\":";
+    out += std::to_string(e.pid);
+    out += ",\"tid\":";
+    out += std::to_string(e.tid);
     if (!e.args.empty()) {
       out += ",\"args\":{";
       bool afirst = true;
       for (const auto& [k, v] : e.args) {
         if (!afirst) out += ",";
         afirst = false;
-        out += "\"" + json_escape(k) + "\":\"" + json_escape(v) + "\"";
+        out += "\"";
+        out += json_escape(k);
+        out += "\":\"";
+        out += json_escape(v);
+        out += "\"";
       }
       out += "}";
     }

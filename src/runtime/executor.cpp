@@ -58,15 +58,14 @@ Tensor16 flatten_for_mm(const Tensor16& t, const Layer& layer) {
   return flat;
 }
 
-/// A weight-group slice of a conv/MM layer and its weights.
+/// A weight-group slice of a conv/MM layer: its layer and first output
+/// channel / feature. The runner loads its weights (load_weights).
 struct GroupSlice {
   Layer layer;
-  Tensor16 weights;
-  int offset = 0;  ///< first output channel / feature of this group
+  int offset = 0;
 };
 
-std::vector<GroupSlice> slice_groups(const Layer& layer, const Tensor16& w,
-                                     int groups) {
+std::vector<GroupSlice> slice_groups(const Layer& layer, int groups) {
   std::vector<GroupSlice> out;
   const int total = layer.kind == LayerKind::Conv   ? layer.out_c
                     : layer.kind == LayerKind::Depthwise
@@ -80,26 +79,11 @@ std::vector<GroupSlice> slice_groups(const Layer& layer, const Tensor16& w,
     gs.layer = layer;
     if (layer.kind == LayerKind::Conv) {
       gs.layer.out_c = n;
-      gs.weights = Tensor16({n, layer.in_c, layer.kh, layer.kw});
-      for (int o = 0; o < n; ++o)
-        for (int i = 0; i < layer.in_c; ++i)
-          for (int r = 0; r < layer.kh; ++r)
-            for (int s = 0; s < layer.kw; ++s)
-              gs.weights.at(o, i, r, s) = w.at(off + o, i, r, s);
     } else if (layer.kind == LayerKind::Depthwise) {
       gs.layer.in_c = n;
       gs.layer.out_c = n;
-      gs.weights = Tensor16({n, layer.kh, layer.kw});
-      for (int o = 0; o < n; ++o)
-        for (int r = 0; r < layer.kh; ++r)
-          for (int s = 0; s < layer.kw; ++s)
-            gs.weights.at(o, r, s) = w.at(off + o, r, s);
     } else {
       gs.layer.mm_n = n;
-      gs.weights = Tensor16({n, static_cast<int>(layer.mm_m)});
-      for (int o = 0; o < n; ++o)
-        for (int m = 0; m < static_cast<int>(layer.mm_m); ++m)
-          gs.weights.at(o, m) = w.at(off + o, m);
     }
     out.push_back(std::move(gs));
   }
@@ -119,11 +103,11 @@ void note_host_kernel(const Layer& layer) {
 /// All state the context reuses across run() calls. Warm-up happens in the
 /// constructor; run() touches only the caches and the arena.
 struct ExecContext::Impl {
-  /// One weight-group slice with its sliced weights, cached runner and a
+  /// One weight-group slice with its cached runner (which holds the
+  /// group's weights, sliced once at warm-up — weight-tile reuse) and a
   /// persistent output slot (reshaped once, then zero-filled in place).
   struct Group {
     Layer layer;
-    Tensor16 weights;  ///< sliced once at warm-up — weight-tile reuse
     int offset = 0;
     std::optional<sim::CachedLayerSim> sim;
     AccTensor out;
@@ -194,8 +178,8 @@ struct ExecContext::Impl {
   }
 
   /// CycleSim warm-up for one overlay layer: compile through the shared
-  /// session (repeated shapes reuse one search), slice the weight groups
-  /// once, and build a cached runner per group.
+  /// session (repeated shapes reuse one search), and build a cached runner
+  /// per weight group with its weight slice.
   void warm_overlay(LayerCtx& lc) {
     const Layer& layer = *lc.layer;
     compiler::CompilerSession& session = compiler::CompilerSession::global();
@@ -203,20 +187,22 @@ struct ExecContext::Impl {
         layer, opt.config, compiler::Objective::Performance,
         opt.search_budget_per_layer);
     lc.weight_groups = master.weight_groups;
-    for (GroupSlice& gs : slice_groups(layer, *lc.weights,
-                                       master.weight_groups)) {
+    for (GroupSlice& gs : slice_groups(layer, master.weight_groups)) {
       const compiler::LayerProgram prog = session.compile(
           gs.layer, opt.config, compiler::Objective::Performance,
           opt.search_budget_per_layer);
       Group g;
       g.layer = std::move(gs.layer);
-      g.weights = std::move(gs.weights);
       g.offset = gs.offset;
       // The context only consumes output accumulators and cycle counts;
       // never collect a DRAM trace.
       sim::SimOptions sim_opt;
       sim_opt.collect_trace = false;
       g.sim.emplace(prog, opt.config, sim_opt);
+      // The runner keeps the one copy, in its operand layout: no
+      // reference-layout slice sits beside it (a second copy of a model's
+      // weights would double the context's footprint).
+      g.sim->load_weights(*lc.weights, gs.offset);
       lc.groups.push_back(std::move(g));
     }
   }
@@ -350,21 +336,12 @@ struct ExecContext::Impl {
               act_slice.at(c, y, x) = act.at(g.offset + c, y, x);
         group_act = &act_slice;
       }
-      g.sim->run(g.weights, *group_act, g.out, pool());
+      g.sim->run(*group_act, g.out, pool());
       run.sim_cycles += g.sim->stats().cycles;
-      // Stitch the group's output slice into the full tensor.
-      if (layer.kind == LayerKind::MatMul) {
-        for (int o = 0; o < static_cast<int>(g.layer.mm_n); ++o)
-          for (int p = 0; p < static_cast<int>(layer.mm_p); ++p)
-            acc.at(g.offset + o, p) = g.out.at(o, p);
-      } else {
-        const int oc = layer.kind == LayerKind::Depthwise ? g.layer.in_c
-                                                          : g.layer.out_c;
-        for (int o = 0; o < oc; ++o)
-          for (int y = 0; y < layer.out_h(); ++y)
-            for (int x = 0; x < layer.out_w(); ++x)
-              acc.at(g.offset + o, y, x) = g.out.at(o, y, x);
-      }
+      // Stitch the group's output slice into the full tensor; the runner
+      // un-permutes its accumulators on the way.
+      const std::int64_t plane = acc.size() / acc.dims()[0];
+      g.sim->store_output(g.out, acc.data() + g.offset * plane);
     }
     return acc;
   }

@@ -79,10 +79,11 @@ int calibrate_shift(const nn::AccTensor& acc, int target_bits);
 ///
 /// Construction is the warm-up: the graph is validated, the sink and
 /// per-layer dataflow inputs are resolved, weights are looked up, and (on
-/// the CycleSim path) every layer is compiled, its weight-group slices
-/// materialized once (weight-tile reuse across requests) and wrapped in a
-/// sim::CachedLayerSim. run() then re-executes the network with all tensor
-/// storage drawn from an owned TensorArena, so a warm context performs zero
+/// the CycleSim path) every layer is compiled and its weight-group slices
+/// loaded once (weight-tile reuse across requests) into the
+/// sim::CachedLayerSim that runs them, in its operand layout. run() then
+/// re-executes the network with all tensor storage drawn from an owned
+/// TensorArena, so a warm context performs zero
 /// heap allocations per request on the CycleSim path with collect_runs off
 /// and observability disabled (pinned by the allocation-counter test in
 /// tests/test_serve.cpp).

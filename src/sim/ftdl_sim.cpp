@@ -144,6 +144,97 @@ void check_tensors(const nn::Layer& layer, const Shape& s,
   }
 }
 
+// ---- operand re-layout (OperandLayout docs in ftdl_sim.h) ---------------
+
+/// Output channels (MM: output features) — the leading weight dimension
+/// of the reference layout, along which layers split into weight groups.
+std::int64_t output_channels(const Shape& s, nn::LayerKind kind) {
+  if (kind == nn::LayerKind::MatMul) return s.mm_n;
+  return kind == nn::LayerKind::Depthwise ? s.in_c : s.out_c;
+}
+
+/// Weight dims of a layer in `layout` (depthwise layers are always native).
+nn::Dims engine_weight_dims(const Shape& s, nn::LayerKind kind,
+                            OperandLayout layout) {
+  if (kind == nn::LayerKind::Depthwise) return {s.in_c, s.kh, s.kw};
+  if (kind == nn::LayerKind::MatMul) {
+    return layout == OperandLayout::OutChannelInner ? nn::Dims{s.mm_m, s.mm_n}
+                                                    : nn::Dims{s.mm_n, s.mm_m};
+  }
+  switch (layout) {
+    case OperandLayout::OutChannelInner:
+      return {s.in_c, s.kh, s.kw, s.out_c};
+    case OperandLayout::InChannelInner:
+      return {s.out_c, s.kh, s.kw, s.in_c};
+    case OperandLayout::Native:
+      break;
+  }
+  return {s.out_c, s.in_c, s.kh, s.kw};
+}
+
+/// Output accumulator dims of a layer in `layout`.
+nn::Dims engine_out_dims(const Shape& s, nn::LayerKind kind,
+                         OperandLayout layout) {
+  const bool out_inner = layout == OperandLayout::OutChannelInner;
+  if (kind == nn::LayerKind::MatMul)
+    return out_inner ? nn::Dims{s.mm_p, s.mm_n} : nn::Dims{s.mm_n, s.mm_p};
+  return out_inner ? nn::Dims{s.oh, s.ow, s.out_c}
+                   : nn::Dims{s.out_c, s.oh, s.ow};
+}
+
+/// Whether `layout` stores the weights differently from the reference
+/// layout (MM weights {N,M} already keep input channels innermost).
+bool weights_relaid(nn::LayerKind kind, OperandLayout layout) {
+  return layout == OperandLayout::OutChannelInner ||
+         (layout == OperandLayout::InChannelInner &&
+          kind != nn::LayerKind::MatMul);
+}
+
+/// Copies the reference-layout weights at `src` (the layer's channels in
+/// order, each channel's elements contiguous) into `layout`.
+nn::Tensor16 relayout_weights(const Shape& s, nn::LayerKind kind,
+                              OperandLayout layout, const std::int16_t* src) {
+  nn::Tensor16 out(engine_weight_dims(s, kind, layout));
+  const std::int64_t per_channel = out.size() / output_channels(s, kind);
+  if (!weights_relaid(kind, layout)) {
+    std::copy(src, src + out.size(), out.data());
+  } else if (layout == OperandLayout::OutChannelInner) {
+    // {M, N*R*S} -> {N*R*S, M}; MM {N, M} -> {M, N}.
+    nn::transpose(src, out.data(), output_channels(s, kind), per_channel);
+  } else {
+    // Per output channel, {N, R*S} -> {R*S, N}.
+    const std::int64_t rs = std::int64_t{s.kh} * s.kw;
+    for (std::int64_t o = 0; o < s.out_c; ++o)
+      nn::transpose(src + o * per_channel, out.data() + o * per_channel,
+                    s.in_c, rs);
+  }
+  return out;
+}
+
+/// Re-lays a reference-layout input into `dst` for an InChannelInner run:
+/// conv {N,H,W} -> {H,W,N}, MM {M,P} -> {P,M}. `dst` is reshaped only when
+/// its dims differ (pooled under an installed arena).
+void relayout_input(const nn::Tensor16& in, nn::Tensor16& dst) {
+  const nn::Dims& d = in.dims();
+  const nn::Dims want = d.size() == 2 ? nn::Dims{d[1], d[0]}
+                                      : nn::Dims{d[1], d[2], d[0]};
+  if (dst.dims() != want) dst = nn::Tensor16(want);
+  nn::transpose(in.data(), dst.data(), d[0], in.size() / d[0]);
+}
+
+/// Copies `layout` output accumulators `eng` to `dst` in the reference
+/// layout: {E,F,M} / {P,N} back to {M,E,F} / {N,P} when OutChannelInner, a
+/// plain copy otherwise.
+void store_reference(const Shape& s, nn::LayerKind kind, OperandLayout layout,
+                     const nn::AccTensor& eng, acc_t* dst) {
+  if (layout == OperandLayout::OutChannelInner) {
+    const std::int64_t channels = output_channels(s, kind);
+    nn::transpose(eng.data(), dst, eng.size() / channels, channels);
+  } else {
+    std::copy(eng.data(), eng.data() + eng.size(), dst);
+  }
+}
+
 /// DRAM transfer time in whole CLKh cycles, in exact integer arithmetic:
 /// ceil(bytes / (bytes_per_sec / clk_hz)) == ceil(bytes * clk_hz /
 /// bytes_per_sec). The rates are configured as whole numbers (26e9, 650e6),
@@ -460,17 +551,34 @@ void run_reference(const compiler::LayerProgram& program, const Shape& shape,
 }
 
 /// Fast-engine functional pass: precomputed tables + dense/guarded kernels,
-/// fanned across the resolved worker pool (SimOptions::jobs).
-void run_engine(const compiler::LayerProgram& program,
+/// fanned across the resolved worker pool (SimOptions::jobs). Re-lays the
+/// operands into the layout the tables chose and the output back.
+void run_engine(const compiler::LayerProgram& program, const Shape& shape,
                 const nn::Tensor16& weights, const nn::Tensor16& input,
                 const SimOptions& options, SimStats& st,
                 nn::AccTensor& output) {
   const detail::EngineTables tables = detail::build_tables(program);
+  const nn::LayerKind kind = program.layer.kind;
+  nn::Tensor16 eng_w, eng_in;
+  nn::AccTensor eng_out;
   const std::int16_t* wp = weights.data();
   const std::int16_t* ip = input.data();
   acc_t* op = output.data();
+  if (weights_relaid(kind, tables.layout)) {
+    eng_w = relayout_weights(shape, kind, tables.layout, weights.data());
+    wp = eng_w.data();
+  }
+  if (tables.layout == OperandLayout::InChannelInner) {
+    relayout_input(input, eng_in);
+    ip = eng_in.data();
+  }
+  if (tables.layout == OperandLayout::OutChannelInner) {
+    eng_out = nn::AccTensor(engine_out_dims(shape, kind, tables.layout));
+    op = eng_out.data();
+  }
   std::int64_t valid = 0;
-  if (options.jobs == 1) {
+  if (options.jobs == 1 || tables.chunks.size() == 1) {
+    // A single chunk runs inline: no pool is touched, or even created.
     valid = detail::run_functional(tables, wp, ip, op, nullptr);
   } else if (options.jobs == 0) {
     valid = detail::run_functional(tables, wp, ip, op,
@@ -479,6 +587,8 @@ void run_engine(const compiler::LayerProgram& program,
     ThreadPool pool(options.jobs);
     valid = detail::run_functional(tables, wp, ip, op, &pool);
   }
+  if (tables.layout == OperandLayout::OutChannelInner)
+    store_reference(shape, kind, tables.layout, eng_out, output.data());
   st.valid_maccs = valid;
   st.padded_maccs = program.mapping.padded_macs();
 }
@@ -535,10 +645,10 @@ SimResult simulate_impl(const compiler::LayerProgram& program,
       run_reference(program, shape, *weights, *input, options, st,
                     result.output);
     else
-      run_engine(program, *weights, *input, options, st, result.output);
+      run_engine(program, shape, *weights, *input, options, st,
+                 result.output);
   } else {
-    const detail::EngineTables tables = detail::build_tables(program);
-    st.valid_maccs = detail::count_valid_maccs(tables);
+    st.valid_maccs = detail::build_tables(program).valid_maccs;
     st.padded_maccs = m.padded_macs();
   }
 
@@ -590,7 +700,10 @@ struct CachedLayerSim::Impl {
   detail::EngineTables tables;
   SimStats stats;
   std::string name;
-  nn::Dims w_dims, in_dims, out_dims;
+  Shape shape;
+  nn::LayerKind kind{};
+  nn::Dims ref_w_dims, w_dims, in_dims, out_dims;
+  nn::Tensor16 weights;  ///< load_weights(), in tables.layout
 };
 
 CachedLayerSim::CachedLayerSim(const compiler::LayerProgram& program,
@@ -616,32 +729,26 @@ CachedLayerSim::CachedLayerSim(const compiler::LayerProgram& program,
     throw Error(w.name + ": instruction stream disagrees with the mapping");
   }
 
-  impl_->name = program.layer.name;
-  const Shape s = shape_from_layer(program.layer);
-  if (program.layer.kind == nn::LayerKind::Depthwise) {
-    impl_->in_dims = nn::Dims{s.in_c, s.in_h, s.in_w};
-    impl_->w_dims = nn::Dims{s.in_c, s.kh, s.kw};
-    impl_->out_dims = nn::Dims{s.out_c, s.oh, s.ow};
-  } else if (program.layer.kind == nn::LayerKind::Conv) {
-    impl_->in_dims = nn::Dims{s.in_c, s.in_h, s.in_w};
-    impl_->w_dims = nn::Dims{s.out_c, s.in_c, s.kh, s.kw};
-    impl_->out_dims = nn::Dims{s.out_c, s.oh, s.ow};
-  } else {
-    impl_->in_dims = nn::Dims{s.mm_m, s.mm_p};
-    impl_->w_dims = nn::Dims{s.mm_n, s.mm_m};
-    impl_->out_dims = nn::Dims{s.mm_n, s.mm_p};
-  }
-
-  impl_->tables = detail::build_tables(program);
-  impl_->stats.valid_maccs = detail::count_valid_maccs(impl_->tables);
-  impl_->stats.padded_maccs = m.padded_macs();
+  Impl& im = *impl_;
+  im.name = program.layer.name;
+  im.shape = shape_from_layer(program.layer);
+  im.kind = program.layer.kind;
+  im.tables = detail::build_tables(program);
+  const Shape& s = im.shape;
+  im.in_dims = im.kind == nn::LayerKind::MatMul
+                   ? nn::Dims{s.mm_m, s.mm_p}
+                   : nn::Dims{s.in_c, s.in_h, s.in_w};
+  im.ref_w_dims = engine_weight_dims(s, im.kind, OperandLayout::Native);
+  im.w_dims = engine_weight_dims(s, im.kind, im.tables.layout);
+  im.out_dims = engine_out_dims(s, im.kind, im.tables.layout);
+  im.stats.valid_maccs = im.tables.valid_maccs;
+  im.stats.padded_maccs = m.padded_macs();
 
   // Timing is input-independent: simulate the schedule once and cache it.
   SimOptions topt = options;
   topt.collect_trace = false;
   dram::AccessTrace trace;
-  run_timing(make_timing(program, config), topt, impl_->name, impl_->stats,
-             trace);
+  run_timing(make_timing(program, config), topt, im.name, im.stats, trace);
 }
 
 CachedLayerSim::~CachedLayerSim() = default;
@@ -650,23 +757,52 @@ CachedLayerSim& CachedLayerSim::operator=(CachedLayerSim&&) noexcept = default;
 
 const SimStats& CachedLayerSim::stats() const { return impl_->stats; }
 
-void CachedLayerSim::run(const nn::Tensor16& weights, const nn::Tensor16& input,
-                         nn::AccTensor& out, ThreadPool* pool) const {
+OperandLayout CachedLayerSim::layout() const { return impl_->tables.layout; }
+
+void CachedLayerSim::load_weights(const nn::Tensor16& weights,
+                                  int channel_offset) {
+  Impl& im = *impl_;
+  const nn::Dims& ref = im.ref_w_dims;
+  const nn::Dims& d = weights.dims();
+  bool ok = d.size() == ref.size() && channel_offset >= 0 &&
+            channel_offset + ref[0] <= d[0];
+  for (std::size_t i = 1; ok && i < ref.size(); ++i) ok = d[i] == ref[i];
+  if (!ok) throw ConfigError(im.name + ": weight tensor layout mismatch");
+  const std::int64_t first = weights.size() / d[0] * channel_offset;
+  im.weights = relayout_weights(im.shape, im.kind, im.tables.layout,
+                                weights.data() + first);
+}
+
+void CachedLayerSim::store_output(const nn::AccTensor& out,
+                                  acc_t* dst) const {
+  const Impl& im = *impl_;
+  if (out.dims() != im.out_dims)
+    throw ConfigError(im.name + ": output tensor layout mismatch");
+  store_reference(im.shape, im.kind, im.tables.layout, out, dst);
+}
+
+void CachedLayerSim::run(const nn::Tensor16& input, nn::AccTensor& out,
+                         ThreadPool* pool) const {
   const Impl& im = *impl_;
   // Layout checks against the cached Dims: allocation-free on success.
+  if (im.weights.dims() != im.w_dims)
+    throw ConfigError(im.name + ": no weights loaded");
   if (input.dims() != im.in_dims)
     throw ConfigError(im.name + ": input tensor layout mismatch");
-  if (weights.dims() != im.w_dims)
-    throw ConfigError(im.name + ": weight tensor layout mismatch");
 
   if (out.dims() != im.out_dims)
     out = nn::AccTensor(im.out_dims);  // pooled under an installed arena
   else
     std::fill(out.data(), out.data() + out.size(), acc_t{0});
 
-  const std::int64_t valid =
-      detail::run_functional(im.tables, weights.data(), input.data(),
-                             out.data(), pool);
+  nn::Tensor16 relaid;  // InChannelInner scratch, pooled like `out`
+  const std::int16_t* ip = input.data();
+  if (im.tables.layout == OperandLayout::InChannelInner) {
+    relayout_input(input, relaid);
+    ip = relaid.data();
+  }
+  const std::int64_t valid = detail::run_functional(
+      im.tables, im.weights.data(), ip, out.data(), pool);
   FTDL_ASSERT(valid == im.stats.valid_maccs);
 
   if (obs::enabled()) {

@@ -15,6 +15,7 @@
 // nn::matmul_reference in the test suite.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 
 #include "arch/overlay_config.h"
@@ -41,6 +42,24 @@ enum class SimEngine {
   /// the executable specification the engine is tested against (and the
   /// baseline bench_sim measures speedup from).
   Reference,
+};
+
+/// Tensor layouts the Fast engine runs one layer in, chosen per layer by its
+/// vector-plan search so the longest T-tile loop becomes one unit-stride
+/// SIMD sweep (docs/simulator.md, "Vector plans"). Conv shapes use
+/// M = out_c, N = in_c, E/F = output rows/cols, R/S = kernel rows/cols; MM
+/// shapes are weights {N, M}, input {M, P}, output {N, P}. Depthwise layers
+/// always run Native.
+enum class OperandLayout : std::uint8_t {
+  /// The reference layouts: conv weights {M,N,R,S}, input {N,H,W}, output
+  /// {M,E,F}; MM weights {N,M}, input {M,P}, output {N,P}.
+  Native,
+  /// Output channels innermost: conv weights {N,R,S,M} and output {E,F,M};
+  /// MM weights {M,N} and output {P,N}. Input native.
+  OutChannelInner,
+  /// Input channels innermost: conv input {H,W,N} and weights {M,R,S,N};
+  /// MM input {P,M}. Other operands native.
+  InChannelInner,
 };
 
 // Field-by-field units and paper mappings: docs/observability.md
@@ -147,11 +166,18 @@ SimResult simulate_layer_stats(const compiler::LayerProgram& program,
 
 /// Reusable functional runner for one compiled layer — the steady-state
 /// path of the serving runtime. All input-independent work (instruction
-/// stream decode and cross-check, engine tables, the timing pass, the
-/// valid-MACC count) happens once at construction; run() executes only the
-/// functional bursts, so a warm runner performs no heap allocations of its
-/// own. SimStats are input-independent, hence cached and identical to what
-/// simulate_layer would report on every call.
+/// stream decode and cross-check, engine tables and operand layout, the
+/// timing pass, the valid-MACC count) happens once at construction; run()
+/// executes only the functional bursts, so a warm runner performs no heap
+/// allocations of its own. SimStats are input-independent, hence cached and
+/// identical to what simulate_layer would report on every call.
+///
+/// The runner works in the operand layout its engine tables chose
+/// (layout()): load_weights() copies the weights once, straight into that
+/// layout, and the runner keeps them; run() produces accumulators in that
+/// layout and store_output() copies them out in the reference layout. The
+/// input stays in the reference layout; an InChannelInner runner re-lays it
+/// per call into scratch drawn from the installed TensorArena.
 class CachedLayerSim {
  public:
   /// Analyses `program` as simulate_layer would (same validation and
@@ -167,13 +193,34 @@ class CachedLayerSim {
   /// The cached per-run statistics (cycles, MACC counts, refills/drains).
   const SimStats& stats() const;
 
-  /// Functional pass: validates layouts, reshapes `out` to the layer's
-  /// output shape if it does not already match (the only potential
-  /// allocation — pooled under an installed TensorArena), zeroes it and
-  /// accumulates the layer. `pool` as in SimOptions::jobs: nullptr runs
-  /// serially on the caller. Bit-identical to simulate_layer's output.
-  void run(const nn::Tensor16& weights, const nn::Tensor16& input,
-           nn::AccTensor& out, ThreadPool* pool = nullptr) const;
+  /// The operand layout the runner keeps its weights and output in.
+  OperandLayout layout() const;
+
+  /// Loads this runner's weights: output channels (MM: output features)
+  /// [channel_offset, channel_offset + the program's count) of `weights`,
+  /// a layer's reference-layout weights — the program's own, or a whole
+  /// layer's it is one weight group of. They are copied once, straight
+  /// into layout(), and kept by the runner, so a caller slicing weight
+  /// groups never holds a reference-layout slice beside them. Throws
+  /// ftdl::ConfigError on a shape mismatch. Warm-up only: it allocates.
+  void load_weights(const nn::Tensor16& weights, int channel_offset = 0);
+
+  /// Functional pass on the loaded weights: `input` in the reference
+  /// layout. Validates the input shape (ftdl::ConfigError, also when no
+  /// weights are loaded), reshapes `out` to layout()'s output shape ({E,F,M}
+  /// / {P,N} when OutChannelInner, the reference shape otherwise) if it
+  /// does not already match — pooled under an installed TensorArena, like
+  /// the InChannelInner input scratch — zeroes it and accumulates the
+  /// layer. `pool` as in SimOptions::jobs: nullptr runs serially on the
+  /// caller. Bit-identical to simulate_layer's output after store_output().
+  void run(const nn::Tensor16& input, nn::AccTensor& out,
+           ThreadPool* pool = nullptr) const;
+
+  /// Copies run()'s output `out` to `dst` in the reference layout ({M,E,F}
+  /// / {N,P}), un-permuting channel-innermost accumulators on the way — so
+  /// a weight group's slice is stitched into its layer's output in the
+  /// same copy. Allocation-free.
+  void store_output(const nn::AccTensor& out, acc_t* dst) const;
 
  private:
   struct Impl;

@@ -69,10 +69,107 @@ std::vector<std::int64_t> project(const std::vector<std::int64_t>& contrib,
   return out;
 }
 
+/// Flat tensor-offset coefficients per workload loop, in gidx space, under
+/// one operand layout: a unit step of gidx_k moves the input / weight /
+/// output offsets by in/w/out[k]; in_const is the input offset of the
+/// all-zero index (the pad shift).
+struct LayoutCoeffs {
+  std::vector<std::int64_t> in, w, out;
+  std::int64_t in_const = 0;
+};
+
+LayoutCoeffs layout_coeffs(const Workload& w, const nn::Layer& layer,
+                           OperandLayout layout) {
+  const auto k = static_cast<std::size_t>(w.k());
+  LayoutCoeffs c;
+  c.in.assign(k, 0);
+  c.w.assign(k, 0);
+  c.out.assign(k, 0);
+  auto at = [&](char tag) {
+    return static_cast<std::size_t>(w.loop_index(tag));
+  };
+  if (w.kind == WorkloadKind::MatMul) {
+    const std::int64_t mm_m = layer.mm_m, mm_n = layer.mm_n, mm_p = layer.mm_p;
+    const bool in_inner = layout == OperandLayout::InChannelInner;
+    const bool out_inner = layout == OperandLayout::OutChannelInner;
+    // input {M,P} or {P,M}; weights {N,M} or {M,N}; output {N,P} or {P,N}.
+    c.in[at('M')] = in_inner ? 1 : mm_p;
+    c.in[at('P')] = in_inner ? mm_m : 1;
+    c.w[at('N')] = out_inner ? 1 : mm_m;
+    c.w[at('M')] = out_inner ? mm_n : 1;
+    c.out[at('N')] = out_inner ? 1 : mm_p;
+    c.out[at('P')] = out_inner ? mm_n : 1;
+    return c;
+  }
+  const std::int64_t in_h = layer.in_h, in_w = layer.in_w, in_c = layer.in_c;
+  const std::int64_t kh = layer.kh, kw = layer.kw;
+  const std::int64_t oh = layer.out_h(), ow = layer.out_w();
+  const std::int64_t stride = layer.stride, pad = layer.pad;
+  // y = e*stride + r - pad and xc = f*stride + s - pad index the image.
+  if (layout == OperandLayout::InChannelInner) {
+    // input HWC: in_off = (y*IW + xc)*IC + n.
+    c.in[at('N')] = 1;
+    c.in[at('E')] = stride * in_w * in_c;
+    c.in[at('R')] = in_w * in_c;
+    c.in[at('F')] = stride * in_c;
+    c.in[at('S')] = in_c;
+    c.in_const = -(pad * in_w + pad) * in_c;
+  } else {
+    // input CHW: in_off = n*(IH*IW) + y*IW + xc.
+    c.in[at('N')] = in_h * in_w;
+    c.in[at('E')] = stride * in_w;
+    c.in[at('R')] = in_w;
+    c.in[at('F')] = stride;
+    c.in[at('S')] = 1;
+    c.in_const = -pad * in_w - pad;
+  }
+  if (w.kind == WorkloadKind::DepthwiseConv) {
+    // weights {in_c, kh, kw} indexed (n, r, s); output channel is n.
+    FTDL_ASSERT(layout == OperandLayout::Native);
+    c.w[at('N')] = kh * kw;
+    c.w[at('R')] = kw;
+    c.w[at('S')] = 1;
+    c.out[at('N')] = oh * ow;
+  } else if (layout == OperandLayout::OutChannelInner) {
+    // weights {N,R,S,M}, output {E,F,M}.
+    const std::int64_t oc = layer.out_c;
+    c.w[at('M')] = 1;
+    c.w[at('S')] = oc;
+    c.w[at('R')] = kw * oc;
+    c.w[at('N')] = kh * kw * oc;
+    c.out[at('M')] = 1;
+    c.out[at('F')] = oc;
+    c.out[at('E')] = ow * oc;
+  } else {
+    // weights {M,N,R,S} (native) or {M,R,S,N} (input channels innermost).
+    const bool in_inner = layout == OperandLayout::InChannelInner;
+    c.w[at('M')] = in_c * kh * kw;
+    c.w[at('N')] = in_inner ? 1 : kh * kw;
+    c.w[at('R')] = in_inner ? kw * in_c : kw;
+    c.w[at('S')] = in_inner ? in_c : 1;
+    c.out[at('M')] = oh * ow;
+  }
+  if (layout != OperandLayout::OutChannelInner) {
+    c.out[at('E')] = ow;
+    c.out[at('F')] = 1;
+  }
+  return c;
+}
+
+/// The vector-plan kind a loop's unit coefficients admit (header docs).
+EngineTables::PlanKind plan_kind_of(std::int64_t cin, std::int64_t cw,
+                                    std::int64_t cout) {
+  using PK = EngineTables::PlanKind;
+  if (cin == 1 && cw == 1 && cout == 0) return PK::Dot;
+  if (cin == 1 && cw == 0 && cout == 1) return PK::Axpy;
+  if (cin == 0 && cw == 1 && cout == 1) return PK::AxpyW;
+  return PK::None;
+}
+
 }  // namespace
 
 EngineTables build_tables(const compiler::LayerProgram& program,
-                          int max_chunks) {
+                          int max_chunks, std::int64_t min_chunk_maccs) {
   const Workload& w = program.workload;
   const Mapping& m = program.mapping;
   const nn::Layer& layer = program.layer;
@@ -156,80 +253,91 @@ EngineTables build_tables(const compiler::LayerProgram& program,
   }
   tb.td = t_dig;  // T-level digits carry weight 1
 
-  // ---- tensor-offset coefficients per workload loop --------------------
-  std::vector<std::int64_t> cin(static_cast<std::size_t>(k), 0);
-  std::vector<std::int64_t> cw(static_cast<std::size_t>(k), 0);
-  std::vector<std::int64_t> cout(static_cast<std::size_t>(k), 0);
+  // ---- vector-plan search over (layout, loop, kind) ---------------------
+  // Pick the unit-coefficient loop with the longest contiguous sweep (see
+  // the header): its T tile, times the spatial states fused into it. A
+  // loop's spatial digits can fuse when they are gidx-contiguous
+  // (sp_stride == t_ext <=> its X/L tiles are 1). Fusing an output loop
+  // takes its fused digit out of the group key, so the block is the
+  // largest divisor of the spatial extent that keeps at least as many
+  // groups as the layer can use as chunks: kMinFusedGroups, fewer when the
+  // layer has fewer groups or too few MACCs for that many chunks (a
+  // single-chunk layer fuses fully). Native is scored first and a re-laid
+  // candidate must be strictly longer.
+  std::int64_t out_groups = 1;  // groups with every output digit keyed
+  {
+    const LayoutCoeffs native = layout_coeffs(w, layer, OperandLayout::Native);
+    for (int i = 0; i < k; ++i)
+      if (native.out[static_cast<std::size_t>(i)] != 0)
+        out_groups *= tb.sp_ext[static_cast<std::size_t>(i)];
+  }
+  const std::int64_t min_groups =
+      std::min({out_groups, kMinFusedGroups,
+                std::max<std::int64_t>(1, layer.macs() / min_chunk_maccs)});
+  std::vector<OperandLayout> layouts{OperandLayout::Native};
+  if (w.kind != WorkloadKind::DepthwiseConv) {
+    layouts.push_back(OperandLayout::OutChannelInner);
+    layouts.push_back(OperandLayout::InChannelInner);
+  }
+  for (const OperandLayout layout : layouts) {
+    const LayoutCoeffs lc = layout_coeffs(w, layer, layout);
+    for (int i = 0; i < k; ++i) {
+      const auto iu = static_cast<std::size_t>(i);
+      const EngineTables::PlanKind kind =
+          plan_kind_of(lc.in[iu], lc.w[iu], lc.out[iu]);
+      if (kind == EngineTables::PlanKind::None) continue;
+      std::int64_t nb = 1;
+      if (tb.sp_stride[iu] == tb.t_ext[iu]) {
+        nb = tb.sp_ext[iu];
+        while (lc.out[iu] != 0 && out_groups / nb < min_groups) {
+          do --nb;
+          while (tb.sp_ext[iu] % nb != 0);
+        }
+      }
+      const std::int64_t cols = nb * tb.t_ext[iu];
+      if (cols < 2) continue;  // nothing to sweep; legacy kernels are fine
+      if (tb.plan_kind == EngineTables::PlanKind::None || cols > tb.cols) {
+        tb.layout = layout;
+        tb.plan_kind = kind;
+        tb.col_loop = i;
+        tb.block = nb;
+        tb.cols = cols;
+      }
+    }
+  }
+
+  // ---- tensor-offset coefficients of the chosen layout -----------------
+  const LayoutCoeffs coeffs = layout_coeffs(w, layer, tb.layout);
+  const std::vector<std::int64_t>& cin = coeffs.in;
+  const std::vector<std::int64_t>& cw = coeffs.w;
+  const std::vector<std::int64_t>& cout = coeffs.out;
+  tb.in_const = coeffs.in_const;
   std::vector<std::int64_t> cry(static_cast<std::size_t>(k), 0);
   std::vector<std::int64_t> ccx(static_cast<std::size_t>(k), 0);
-
   if (w.kind == WorkloadKind::MatMul) {
-    const auto iM = static_cast<std::size_t>(w.loop_index('M'));
-    const auto iN = static_cast<std::size_t>(w.loop_index('N'));
-    const auto iP = static_cast<std::size_t>(w.loop_index('P'));
-    const std::int64_t mm_m = layer.mm_m, mm_p = layer.mm_p;
-    cin[iM] = mm_p;
-    cin[iP] = 1;
-    cw[iN] = mm_m;
-    cw[iM] = 1;
-    cout[iN] = mm_p;
-    cout[iP] = 1;
+    tb.free_loops = {w.loop_index('M'), w.loop_index('N'), w.loop_index('P')};
   } else {
     tb.conv = true;
-    const bool dw = w.kind == WorkloadKind::DepthwiseConv;
-    const auto iN = static_cast<std::size_t>(w.loop_index('N'));
     const auto iE = static_cast<std::size_t>(w.loop_index('E'));
     const auto iF = static_cast<std::size_t>(w.loop_index('F'));
     const auto iR = static_cast<std::size_t>(w.loop_index('R'));
     const auto iS = static_cast<std::size_t>(w.loop_index('S'));
-    const std::int64_t in_h = layer.in_h, in_w = layer.in_w;
-    const std::int64_t kh = layer.kh, kw = layer.kw;
-    const std::int64_t oh = layer.out_h(), ow = layer.out_w();
-    const std::int64_t stride = layer.stride, pad = layer.pad;
-    tb.in_h = in_h;
-    tb.in_w = in_w;
-    tb.conv_stride = stride;
-    tb.pad = pad;
-
-    // in_off = n*(IH*IW) + y*IW + xc with y = e*stride + r - pad and
-    // xc = f*stride + s - pad.
-    cin[iN] = in_h * in_w;
-    cin[iE] = stride * in_w;
-    cin[iR] = in_w;
-    cin[iF] = stride;
-    cin[iS] = 1;
-    tb.in_const = -pad * in_w - pad;
-    if (dw) {
-      // weights {in_c, kh, kw} indexed (n, r, s); output channel is n.
-      cw[iN] = kh * kw;
-      cw[iR] = kw;
-      cw[iS] = 1;
-      cout[iN] = oh * ow;
-    } else {
-      const auto iM = static_cast<std::size_t>(w.loop_index('M'));
-      cw[iM] = layer.in_c * kh * kw;
-      cw[iN] = kh * kw;
-      cw[iR] = kw;
-      cw[iS] = 1;
-      cout[iM] = oh * ow;
-    }
-    cout[iE] = ow;
-    cout[iF] = 1;
-    cry[iE] = stride;
+    tb.in_h = layer.in_h;
+    tb.in_w = layer.in_w;
+    tb.conv_stride = layer.stride;
+    tb.pad = layer.pad;
+    cry[iE] = layer.stride;
     cry[iR] = 1;
-    ccx[iF] = stride;
+    ccx[iF] = layer.stride;
     ccx[iS] = 1;
-    tb.ry_const = -pad;
-    tb.cx_const = -pad;
+    tb.ry_const = -layer.pad;
+    tb.cx_const = -layer.pad;
 
-    tb.free_loops.clear();
-    if (!dw) tb.free_loops.push_back(w.loop_index('M'));
+    if (w.kind != WorkloadKind::DepthwiseConv)
+      tb.free_loops.push_back(w.loop_index('M'));
     tb.free_loops.push_back(w.loop_index('N'));
-    tb.pairs.push_back({w.loop_index('E'), w.loop_index('R'), in_h});
-    tb.pairs.push_back({w.loop_index('F'), w.loop_index('S'), in_w});
-  }
-  if (w.kind == WorkloadKind::MatMul) {
-    tb.free_loops = {w.loop_index('M'), w.loop_index('N'), w.loop_index('P')};
+    tb.pairs.push_back({w.loop_index('E'), w.loop_index('R'), layer.in_h});
+    tb.pairs.push_back({w.loop_index('F'), w.loop_index('S'), layer.in_w});
   }
 
   // T-level run structure: the fastest-varying non-trivial T loop (the last
@@ -259,69 +367,52 @@ EngineTables build_tables(const compiler::LayerProgram& program,
     tb.c_cx = ccx;
   }
 
-  // ---- vector-plan selection -------------------------------------------
-  // Pick the unit-coefficient loop with the longest contiguous sweep (see
-  // the header): its T tile, times its spatial extent when the spatial
-  // digits are gidx-contiguous (sp_stride == t_ext <=> X/L tiles are 1).
-  for (int i = 0; i < k; ++i) {
-    const auto iu = static_cast<std::size_t>(i);
-    EngineTables::PlanKind kind = EngineTables::PlanKind::None;
-    if (cin[iu] == 1 && cw[iu] == 1 && cout[iu] == 0) {
-      kind = EngineTables::PlanKind::Dot;
-    } else if (cin[iu] == 1 && cw[iu] == 0 && cout[iu] == 1) {
-      kind = EngineTables::PlanKind::Axpy;
-    }
-    if (kind == EngineTables::PlanKind::None) continue;
-    const std::int64_t nb =
-        (tb.sp_ext[iu] > 1 && tb.sp_stride[iu] == tb.t_ext[iu]) ? tb.sp_ext[iu]
-                                                                : 1;
-    const std::int64_t cols = nb * tb.t_ext[iu];
-    if (cols < 2) continue;  // nothing to sweep; legacy kernels are fine
-    if (tb.plan_kind == EngineTables::PlanKind::None || cols > tb.cols) {
-      tb.plan_kind = kind;
-      tb.col_loop = i;
-      tb.block = nb;
-      tb.cols = cols;
-    }
-  }
-
   // ---- group-reordered spatial tables ----------------------------------
   // Group key: mixed radix over the OUTPUT-mapped loops' spatial digits.
   // Two valid iterations can only write the same output accumulator when
   // their output loops' digits agree at every level; grouping by the
   // spatial digits therefore makes groups pairwise write-disjoint within
-  // any burst — the safety argument for the parallel fan-out. The column
-  // loop is excluded from the group key (its sweep stays inside one burst
-  // slice, and for Axpy its digit only offsets the output within the
-  // group's disjoint range), and the sort key is extended to a total mixed
-  // radix with the column digit innermost so fused spatial states land
-  // adjacent and in sweep order.
-  std::vector<std::int64_t> key(static_cast<std::size_t>(tb.S), 0);
-  for (int i = 0; i < k; ++i) {
-    if (cout[static_cast<std::size_t>(i)] == 0 || i == tb.col_loop) continue;
+  // any burst — the safety argument for the parallel fan-out. When ℓc's
+  // spatial states fuse into the sweep (block > 1), only the high part of
+  // its digit (digit / block) is keyed: a fused block must stay inside one
+  // group, and for Axpy/AxpyW the low part only offsets the output within
+  // the group's disjoint range. An unfused ℓc stays fully keyed, so
+  // re-laying an output loop innermost never coarsens the fan-out. The
+  // sort key extends the group key to a total mixed radix with the low
+  // part of ℓc's digit innermost, so fused spatial states land adjacent
+  // and in sweep order.
+  const bool fused = tb.col_loop >= 0 && tb.block > 1;
+  // Appends (spatial digit of loop i / div) as a mixed-radix digit of
+  // radix `ext` to every state's key.
+  auto push_digit = [&](std::vector<std::int64_t>& acc, int i,
+                        std::int64_t div, std::int64_t ext) {
     const std::int64_t* dig =
         sp_dig.data() + static_cast<std::size_t>(i) * static_cast<std::size_t>(tb.S);
+    for (std::int64_t s = 0; s < tb.S; ++s) {
+      auto& a = acc[static_cast<std::size_t>(s)];
+      a = a * ext + (dig[s] / div) % ext;
+    }
+  };
+  std::vector<std::int64_t> key(static_cast<std::size_t>(tb.S), 0);
+  for (int i = 0; i < k; ++i) {
+    if (cout[static_cast<std::size_t>(i)] == 0) continue;
     const std::int64_t ext = tb.sp_ext[static_cast<std::size_t>(i)];
-    for (std::int64_t s = 0; s < tb.S; ++s)
-      key[static_cast<std::size_t>(s)] = key[static_cast<std::size_t>(s)] * ext + dig[s];
+    if (fused && i == tb.col_loop)
+      push_digit(key, i, tb.block, ext / tb.block);
+    else
+      push_digit(key, i, 1, ext);
   }
   std::vector<std::int64_t> sort_key = key;
-  if (tb.col_loop >= 0) {
+  if (fused) {
     for (int i = 0; i < k; ++i) {
-      if (cout[static_cast<std::size_t>(i)] != 0 || i == tb.col_loop) continue;
-      const std::int64_t* dig =
-          sp_dig.data() + static_cast<std::size_t>(i) * static_cast<std::size_t>(tb.S);
+      if (cout[static_cast<std::size_t>(i)] != 0) continue;
       const std::int64_t ext = tb.sp_ext[static_cast<std::size_t>(i)];
-      for (std::int64_t s = 0; s < tb.S; ++s)
-        sort_key[static_cast<std::size_t>(s)] =
-            sort_key[static_cast<std::size_t>(s)] * ext + dig[s];
+      if (i == tb.col_loop)
+        push_digit(sort_key, i, tb.block, ext / tb.block);
+      else
+        push_digit(sort_key, i, 1, ext);
     }
-    const auto lcu = static_cast<std::size_t>(tb.col_loop);
-    const std::int64_t* dig =
-        sp_dig.data() + lcu * static_cast<std::size_t>(tb.S);
-    for (std::int64_t s = 0; s < tb.S; ++s)
-      sort_key[static_cast<std::size_t>(s)] =
-          sort_key[static_cast<std::size_t>(s)] * tb.sp_ext[lcu] + dig[s];
+    push_digit(sort_key, tb.col_loop, 1, tb.block);
   }
   std::vector<std::int64_t> perm(static_cast<std::size_t>(tb.S));
   std::iota(perm.begin(), perm.end(), std::int64_t{0});
@@ -390,9 +481,9 @@ EngineTables build_tables(const compiler::LayerProgram& program,
     if (tb.block > 1) {
       // Verify the fused layout the innermost-ℓc sort was meant to produce:
       // every aligned block holds a single group-key value, constant digits
-      // on every other loop, and ℓc's weighted digit sweeping 0, stride,
-      // 2*stride, ... — exactly the precondition for gidx_ℓc advancing by 1
-      // per column across the whole fused sweep.
+      // on every other loop, and ℓc's weighted digit sweeping base,
+      // base + stride, base + 2*stride, ... — exactly the precondition for
+      // gidx_ℓc advancing by 1 per column across the whole fused sweep.
       bool ok = tb.S % tb.block == 0;
       const std::int64_t* lcd = tb.spd.data() + lcu * static_cast<std::size_t>(tb.S);
       for (std::int64_t s0 = 0; ok && s0 < tb.S; s0 += tb.block) {
@@ -401,7 +492,7 @@ EngineTables build_tables(const compiler::LayerProgram& program,
           ok &= key[static_cast<std::size_t>(perm[s])] ==
                 key[static_cast<std::size_t>(
                     perm[static_cast<std::size_t>(s0)])];
-          ok &= lcd[s0 + j] == j * tb.sp_stride[lcu];
+          ok &= lcd[s0 + j] == lcd[s0] + j * tb.sp_stride[lcu];
           for (int i = 0; ok && i < k; ++i) {
             if (i == tb.col_loop) continue;
             const std::int64_t* src =
@@ -446,6 +537,9 @@ EngineTables build_tables(const compiler::LayerProgram& program,
         tb.row_dcx = ccx[lru];
       }
     }
+    tb.col_din = cin[lcu];
+    tb.col_dw = cw[lcu];
+    tb.col_dout = cout[lcu];
     if (tb.conv) {
       tb.col_dry = cry[lcu];
       tb.col_dcx = ccx[lcu];
@@ -473,8 +567,11 @@ EngineTables build_tables(const compiler::LayerProgram& program,
       group_start.push_back(s);
   }
   const std::int64_t n_groups = static_cast<std::int64_t>(group_start.size());
-  const std::int64_t n_chunks =
-      std::max<std::int64_t>(1, std::min<std::int64_t>(n_groups, max_chunks));
+  tb.groups = n_groups;
+  tb.valid_maccs = count_valid_maccs(tb);
+  const std::int64_t n_chunks = std::max<std::int64_t>(
+      1, std::min({n_groups, std::int64_t{max_chunks},
+                   tb.valid_maccs / min_chunk_maccs}));
   for (std::int64_t c = 0; c < n_chunks; ++c) {
     const std::int64_t g0 = c * n_groups / n_chunks;
     const std::int64_t g1 = (c + 1) * n_groups / n_chunks;
@@ -679,10 +776,27 @@ std::int64_t guarded_burst(const EngineTables& tb, const BurstBases& b,
   return valid;
 }
 
+/// One contiguous sweep of n MACCs under plan kind K (header docs): the
+/// only place the plan kinds differ.
+template <EngineTables::PlanKind K>
+inline void sweep(const std::int16_t* weights, const std::int16_t* input,
+                  acc_t* out, std::int64_t i0, std::int64_t w0,
+                  std::int64_t o0, std::int64_t n) {
+  using PK = EngineTables::PlanKind;
+  if constexpr (K == PK::Dot) {
+    out[o0] += simd::dot_i16(weights + w0, input + i0, n);
+  } else if constexpr (K == PK::Axpy) {
+    simd::axpy_i16(out + o0, input + i0, weights[w0], n);
+  } else {
+    static_assert(K == PK::AxpyW);
+    simd::axpy_i16(out + o0, weights + w0, input[i0], n);
+  }
+}
+
 /// Interior kernel when a vector plan is set: every (block, t0, row) slice
 /// is one contiguous sweep of tb.cols MACCs handed to the runtime-dispatched
-/// SIMD kernels — a single dot reduction (kDot) or weight-broadcast axpy.
-template <bool kDot>
+/// SIMD kernels.
+template <EngineTables::PlanKind K>
 void dense_burst_plan(const EngineTables& tb, const BurstBases& b,
                       std::int64_t begin, std::int64_t end,
                       const std::int16_t* FTDL_RESTRICT weights,
@@ -705,13 +819,8 @@ void dense_burst_plan(const EngineTables& tb, const BurstBases& b,
       std::int64_t w0 = w_s + w_t[t0u];
       std::int64_t o0 = out_s + out_t[t0u];
       for (std::int64_t r = 0; r < rows;
-           ++r, i0 += tb.row_din, w0 += tb.row_dw, o0 += tb.row_dout) {
-        if constexpr (kDot) {
-          out[o0] += simd::dot_i16(weights + w0, input + i0, cols);
-        } else {
-          simd::axpy_i16(out + o0, input + i0, weights[w0], cols);
-        }
-      }
+           ++r, i0 += tb.row_din, w0 += tb.row_dw, o0 += tb.row_dout)
+        sweep<K>(weights, input, out, i0, w0, o0, cols);
     }
   }
 }
@@ -721,7 +830,7 @@ void dense_burst_plan(const EngineTables& tb, const BurstBases& b,
 /// per column), the row clip bounds ℓr, and the conv image clips stay
 /// integer divisions — so even edge bursts feed long SIMD sweeps. Returns
 /// the number of valid MACCs executed.
-template <bool kDot>
+template <EngineTables::PlanKind K>
 std::int64_t guarded_burst_plan(const EngineTables& tb, const BurstBases& b,
                                 std::int64_t begin, std::int64_t end,
                                 const std::int16_t* weights,
@@ -793,13 +902,8 @@ std::int64_t guarded_burst_plan(const EngineTables& tb, const BurstBases& b,
           }
         }
         if (chi <= clo) continue;
-        if constexpr (kDot) {
-          out[o0] += simd::dot_i16(weights + w0 + clo, input + i0 + clo,
-                                   chi - clo);
-        } else {
-          simd::axpy_i16(out + o0 + clo, input + i0 + clo, weights[w0],
-                         chi - clo);
-        }
+        sweep<K>(weights, input, out, i0 + clo * tb.col_din,
+                 w0 + clo * tb.col_dw, o0 + clo * tb.col_dout, chi - clo);
         valid += chi - clo;
       }
     }
@@ -819,33 +923,42 @@ std::int64_t run_functional(const EngineTables& tb, const std::int16_t* weights,
     for (std::int64_t x = 0; x < tb.X; ++x) {
       for (std::int64_t l = 0; l < tb.L; ++l) {
         const BurstBases b = burst_bases(tb, x, l);
+        using PK = EngineTables::PlanKind;
         if (burst_is_dense(tb, b, c.sp_max.data(), c.ry_sp_min, c.ry_sp_max,
                            c.cx_sp_min, c.cx_sp_max)) {
           switch (tb.plan_kind) {
-            case EngineTables::PlanKind::Dot:
-              dense_burst_plan<true>(tb, b, c.begin, c.end, weights, input,
-                                     out);
+            case PK::Dot:
+              dense_burst_plan<PK::Dot>(tb, b, c.begin, c.end, weights, input,
+                                        out);
               break;
-            case EngineTables::PlanKind::Axpy:
-              dense_burst_plan<false>(tb, b, c.begin, c.end, weights, input,
-                                      out);
+            case PK::Axpy:
+              dense_burst_plan<PK::Axpy>(tb, b, c.begin, c.end, weights,
+                                         input, out);
               break;
-            case EngineTables::PlanKind::None:
+            case PK::AxpyW:
+              dense_burst_plan<PK::AxpyW>(tb, b, c.begin, c.end, weights,
+                                          input, out);
+              break;
+            case PK::None:
               dense_burst(tb, b, c.begin, c.end, weights, input, out);
               break;
           }
           v += (c.end - c.begin) * tb.T;
         } else {
           switch (tb.plan_kind) {
-            case EngineTables::PlanKind::Dot:
-              v += guarded_burst_plan<true>(tb, b, c.begin, c.end, weights,
-                                            input, out);
+            case PK::Dot:
+              v += guarded_burst_plan<PK::Dot>(tb, b, c.begin, c.end, weights,
+                                               input, out);
               break;
-            case EngineTables::PlanKind::Axpy:
-              v += guarded_burst_plan<false>(tb, b, c.begin, c.end, weights,
-                                             input, out);
+            case PK::Axpy:
+              v += guarded_burst_plan<PK::Axpy>(tb, b, c.begin, c.end,
+                                                weights, input, out);
               break;
-            case EngineTables::PlanKind::None:
+            case PK::AxpyW:
+              v += guarded_burst_plan<PK::AxpyW>(tb, b, c.begin, c.end,
+                                                 weights, input, out);
+              break;
+            case PK::None:
               v += guarded_burst(tb, b, c.begin, c.end, weights, input, out);
               break;
           }

@@ -12,6 +12,18 @@
 //   * the flat tensor offsets (weight / activation / output) are linear in
 //     the global loop indices, so they decompose into per-level
 //     contribution arrays too — the inner loop is lookups and adds only;
+//   * the engine is layout-aware: per layer it picks the operand layouts
+//     (OperandLayout in ftdl_sim.h) that make the longest T-tile loop
+//     unit-stride — native CHW/OIHW, output channels innermost (weights
+//     [N,R,S,M], accumulators [E,F,M]) or input channels innermost
+//     (activations HWC, weights [M,R,S,N]) — the way the overlay's
+//     datapath follows the layout its compiler chose. The coefficient
+//     vectors below are those of the chosen layout; ftdl_sim.cpp re-lays
+//     the operands (simulate_layer per call, CachedLayerSim once for its
+//     weights). Memory rule: cached weights are copied once, straight into
+//     the engine layout and kept by their runner — never a
+//     reference-layout copy beside them — and per-run scratch (an HWC
+//     input) comes from the installed TensorArena;
 //   * bursts whose whole (spatial, t) sub-space is in-trip and free of pad
 //     clipping are detected by interval arithmetic on the precomputed
 //     digit ranges and run through a branch-free dense MACC kernel; edge
@@ -40,6 +52,7 @@
 #include "common/fixed_point.h"
 #include "common/thread_pool.h"
 #include "compiler/codegen.h"
+#include "sim/ftdl_sim.h"
 
 namespace ftdl::sim::detail {
 
@@ -66,7 +79,7 @@ struct EngineTables {
 
   // Flat tensor-offset contributions (sum of coeff_k * digit contribution
   // over all loops): offset = const + _sp[sp] + _x[x] + _l[l] + _t[t].
-  std::int64_t in_const = 0;  ///< conv: -pad*in_w - pad
+  std::int64_t in_const = 0;  ///< conv: -pad*in_w - pad (times in_c, HWC)
   std::vector<std::int64_t> in_sp, w_sp, out_sp;  ///< length S
   std::vector<std::int64_t> in_x, w_x, out_x;     ///< length X
   std::vector<std::int64_t> in_l, w_l, out_l;     ///< length L
@@ -93,24 +106,37 @@ struct EngineTables {
   // The kernels pick one *column loop* ℓc whose unit coefficients make
   // consecutive gidx steps contiguous in memory, so a whole sweep feeds one
   // SIMD kernel (common/simd.h):
-  //   Dot  (c_in=1, c_w=1, c_out=0): reduction — the sweep folds into a
-  //        single accumulator via simd::dot_i16;
-  //   Axpy (c_in=1, c_w=0, c_out=1): broadcast weight — the sweep streams
-  //        into consecutive accumulators via simd::axpy_i16.
-  // The column sweep is ℓc's T tile, and when ℓc's spatial digits are
-  // contiguous in gidx too (sp_stride == t_ext, i.e. its X/L tiles are 1),
-  // `block` whole spatial states fuse into one sweep of `cols` steps. The
-  // group permutation sorts ℓc's spatial digit innermost (full mixed-radix
-  // key) to make those states adjacent; build_tables verifies the fused
-  // digit layout and falls back to block=1 — or no plan — if it does not
-  // hold. The *row loop* ℓr (largest remaining T tile) is hoisted above the
-  // sweep with constant per-row deltas; plan_t0 lists the T states where
-  // both ℓc's and ℓr's digits are zero, so (t0, row, col) enumerates every
-  // T state exactly once. Integer accumulation is exact and associative, so
-  // the reordered/reassociated sums stay bit-identical to the reference
+  //   Dot   (c_in=1, c_w=1, c_out=0): reduction — the sweep folds into a
+  //         single accumulator via simd::dot_i16;
+  //   Axpy  (c_in=1, c_w=0, c_out=1): broadcast weight — the input streams
+  //         into consecutive accumulators via simd::axpy_i16;
+  //   AxpyW (c_in=0, c_w=1, c_out=1): broadcast input — the same
+  //         simd::axpy_i16 with the operand roles swapped, the weights
+  //         streaming (output channels innermost).
+  // The search scores every (layout, loop, kind) candidate through one
+  // code path, on the coefficient vectors the layout implies, and keeps the
+  // longest sweep; a re-laid candidate must be strictly longer than the
+  // best native one. The column sweep is ℓc's T tile, and when ℓc's
+  // spatial digits are contiguous in gidx too (sp_stride == t_ext, i.e.
+  // its X/L tiles are 1), `block` spatial states fuse into one sweep of
+  // `cols` steps. For an output loop the block is the largest divisor of
+  // its spatial extent leaving as many groups as the layer can use as
+  // chunks — kMinFusedGroups, capped by the layer's MACCs / min_chunk_maccs
+  // (see Chunk) — so a single-chunk layer fuses fully. The
+  // group permutation sorts the low part of ℓc's spatial digit (digit %
+  // block) innermost (full mixed-radix key) to make those states
+  // adjacent; build_tables verifies the fused digit layout and falls back
+  // to block=1 — or no plan — if it does not hold. The *row loop* ℓr
+  // (largest remaining T tile) is hoisted above the sweep with constant
+  // per-row deltas; plan_t0 lists the T states where both ℓc's and ℓr's
+  // digits are zero, so (t0, row, col) enumerates every T state exactly
+  // once. Integer accumulation is exact and associative, so the
+  // reordered/reassociated sums stay bit-identical to the reference
   // interpreter (and the SIMD kernels are bit-identical to their scalar
   // oracles by construction).
-  enum class PlanKind : std::uint8_t { None, Dot, Axpy };
+  enum class PlanKind : std::uint8_t { None, Dot, Axpy, AxpyW };
+  OperandLayout layout = OperandLayout::Native;  ///< operand layouts the
+                                                 ///< coefficients describe
   PlanKind plan_kind = PlanKind::None;
   int col_loop = -1;       ///< ℓc (-1: no plan, legacy kernels)
   std::int64_t block = 1;  ///< spatial states fused into one column sweep
@@ -119,6 +145,7 @@ struct EngineTables {
   std::int64_t rows = 1;
   std::int64_t row_din = 0, row_dw = 0, row_dout = 0;
   std::int64_t row_dry = 0, row_dcx = 0;  ///< conv only
+  std::int64_t col_din = 0, col_dw = 0, col_dout = 0;  ///< 0 or 1 per kind
   std::int64_t col_dry = 0, col_dcx = 0;  ///< conv only
   std::vector<std::int64_t> plan_t0;  ///< T states with ℓc/ℓr digits zero
 
@@ -131,9 +158,20 @@ struct EngineTables {
   std::vector<std::int64_t> cx_sp, cx_x, cx_l, cx_t;
   std::int64_t ry_t_max = 0, cx_t_max = 0;  ///< max over t of ry_t / cx_t
 
+  /// Valid MACCs of one functional pass (count_valid_maccs), computed once
+  /// here because it sizes the chunk count.
+  std::int64_t valid_maccs = 0;
+
   /// A contiguous range [begin, end) of the (group-reordered) spatial
   /// arrays whose output accumulators are disjoint from every other
-  /// chunk's — the unit of parallel work.
+  /// chunk's — the unit of parallel work. Groups: states agreeing on the
+  /// spatial digits of every output loop, with only ℓc's high part
+  /// (digit / block) keyed when its states are fused into the sweep
+  /// (block > 1: a fused block must stay in one group). Keying unfused ℓc
+  /// digits keeps the fan-out as fine as the native layout's. Chunk
+  /// count: at most max_chunks, at most one per group, and at least
+  /// min_chunk_maccs (kMinChunkMaccs) valid MACCs per chunk, so small
+  /// layers run as one inline chunk and never touch the pool.
   struct Chunk {
     std::int64_t begin = 0, end = 0;
     // Per-loop max of spd over the range (dense-burst detection; the min is
@@ -143,6 +181,7 @@ struct EngineTables {
     std::int64_t cx_sp_min = 0, cx_sp_max = 0;
   };
   std::vector<Chunk> chunks;
+  std::int64_t groups = 0;  ///< write-disjoint groups (>= chunks.size())
 
   // Stats-only helpers: loops free of pad coupling, and the coupled
   // (index loop, kernel loop, bound) pairs — (E, R, in_h) and (F, S, in_w)
@@ -157,19 +196,32 @@ struct EngineTables {
   std::int64_t conv_stride = 1, pad = 0;
 };
 
-/// Builds the tables for one compiled layer. `max_chunks` bounds the
-/// parallel fan-out granularity (chunk boundaries never split an
-/// output-projection group, so any value is deterministic-safe).
+/// Floor on the valid MACCs of one parallel chunk: below it the pool's
+/// hand-off costs more than the work it spreads.
+constexpr std::int64_t kMinChunkMaccs = std::int64_t{1} << 20;
+
+/// Floor on the group count a fused output-loop sweep may leave (see the
+/// plan docs): enough chunks to balance a pool of a few workers. Layers
+/// too small for that many chunks keep only as many groups as they have
+/// chunks' worth of MACCs.
+constexpr std::int64_t kMinFusedGroups = 16;
+
+/// Builds the tables for one compiled layer, choosing its operand layout
+/// and vector plan. `max_chunks` and `min_chunk_maccs` bound the parallel
+/// fan-out granularity (chunk boundaries never split an output-projection
+/// group, so any values are deterministic-safe; tests lower the floor to
+/// fan small layers out).
 EngineTables build_tables(const compiler::LayerProgram& program,
-                          int max_chunks = 64);
+                          int max_chunks = 64,
+                          std::int64_t min_chunk_maccs = kMinChunkMaccs);
 
 /// Runs the functional bursts over every (x, l) tile: dense kernel on
 /// interior bursts, guarded loop on edge bursts, fanned across `pool`
-/// (nullptr or jobs()==1 runs serially on the caller). Accumulates into
-/// `out` (raw pointer to the layer's AccTensor storage, zero-initialized by
-/// the caller) and returns the number of valid MACCs executed. Output
-/// writes are chunk-disjoint, so the result is bit-identical at any jobs
-/// count.
+/// (nullptr, jobs()==1 or a single chunk runs serially on the caller).
+/// `weights`, `input` and `out` are in tables.layout (the caller re-lays
+/// them); `out` is zero-initialized by the caller. Returns the number of
+/// valid MACCs executed. Output writes are chunk-disjoint, so the result is
+/// bit-identical at any jobs count.
 std::int64_t run_functional(const EngineTables& tables,
                             const std::int16_t* weights,
                             const std::int16_t* input, acc_t* out,

@@ -369,7 +369,11 @@ TEST(Scheduler, SmallNetworkEndToEnd) {
 TEST(Scheduler, RepeatedShapesShareOneSearch) {
   nn::Network net("repeat");
   for (int i = 0; i < 4; ++i) {
-    net.add(nn::make_conv("c" + std::to_string(i), 32, 14, 14, 32, 3, 1, 1));
+    // Appended, not "c" + ...: GCC 12 at -O3 reports a false -Wrestrict
+    // overlap on that concatenation (GCC PR105329).
+    std::string name = "c";
+    name += std::to_string(i);
+    net.add(nn::make_conv(name, 32, 14, 14, 32, 3, 1, 1));
   }
   const NetworkSchedule s =
       schedule_network(net, paper_config(), Objective::Performance, 10'000);

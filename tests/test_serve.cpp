@@ -14,10 +14,12 @@
 #include "common/alloc_stats.h"
 #include "common/error.h"
 #include "common/rng.h"
+#include "compiler/session.h"
 #include "nn/model_zoo.h"
 #include "obs/obs.h"
 #include "runtime/executor.h"
 #include "serve/serve.h"
+#include "sim/sim_engine.h"
 
 namespace ftdl::serve {
 namespace {
@@ -372,8 +374,14 @@ TEST(Server, SteadyStateServesWithoutHeapAllocations) {
   if (!alloc_stats::hook_installed())
     GTEST_SKIP() << "counting allocator not linked (sanitizer build)";
 
+  // Layers that take the engine's re-laid plans (output channels
+  // innermost, then input channels innermost): the re-laid weights are
+  // stored at warm-up, and the input re-lay scratch and channel-innermost
+  // accumulators must cycle through the arena too.
   nn::Network net("serve-zero-alloc");
   net.add(nn::make_conv("c", 6, 8, 8, 8, 3, 1, 1));
+  net.add(nn::make_conv("out_inner", 8, 8, 8, 64, 1, 1, 0));
+  net.add(nn::make_conv("in_inner", 64, 8, 8, 8, 1, 1, 0));
   net.validate_graph();
   const runtime::WeightStore ws = runtime::WeightStore::random_for(net, 7);
 
@@ -385,6 +393,18 @@ TEST(Server, SteadyStateServesWithoutHeapAllocations) {
   opt.exec.config.d2 = 2;
   opt.exec.config.d3 = 3;
   opt.exec.sim_jobs = 1;  // serial bursts: no pool scheduling in the window
+  const std::pair<std::size_t, sim::OperandLayout> want[] = {
+      {1, sim::OperandLayout::OutChannelInner},
+      {2, sim::OperandLayout::InChannelInner}};
+  for (const auto& [i, layout] : want) {
+    const nn::Layer& layer = net.layers()[i];
+    const compiler::LayerProgram prog =
+        compiler::CompilerSession::global().compile(
+            layer, opt.exec.config, compiler::Objective::Performance,
+            opt.exec.search_budget_per_layer);
+    ASSERT_EQ(prog.weight_groups, 1) << layer.name;
+    EXPECT_EQ(sim::detail::build_tables(prog).layout, layout) << layer.name;
+  }
   Server server(net, ws, opt);
 
   auto infer = [&](std::uint64_t seed) {

@@ -1,14 +1,23 @@
 // Pins the fast simulation engine to the reference scalar interpreter:
 // bit-identical outputs, identical SimStats and DRAM traces across odd
 // strides / pads / tail sizes, at every jobs count, and on the stats-only
-// (functional = false) path (docs/simulator.md).
+// (functional = false) path (docs/simulator.md) — for each operand layout
+// the engine's vector-plan search can choose.
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <array>
 
 #include "common/rng.h"
 #include "common/simd.h"
+#include "common/thread_pool.h"
+#include "compiler/analytical_model.h"
 #include "compiler/codegen.h"
+#include "compiler/search.h"
+#include "nn/model_zoo.h"
 #include "nn/reference.h"
 #include "sim/ftdl_sim.h"
+#include "sim/sim_engine.h"
 
 namespace ftdl {
 namespace {
@@ -89,6 +98,68 @@ void expect_same_stats(const sim::SimStats& a, const sim::SimStats& b,
   EXPECT_EQ(a.psum_drains, b.psum_drains) << what;
 }
 
+/// Forces the scalar oracles for its lifetime; restores the vector path on
+/// exit (set_enabled(true) is a no-op where no vector path exists).
+struct ScopedScalarOnly {
+  ScopedScalarOnly() { simd::set_enabled(false); }
+  ~ScopedScalarOnly() { simd::set_enabled(true); }
+};
+
+/// Output elements of a layer (any operand layout).
+std::int64_t output_elems(const nn::Layer& layer) {
+  if (layer.kind == nn::LayerKind::MatMul) return layer.mm_n * layer.mm_p;
+  const std::int64_t channels =
+      layer.kind == nn::LayerKind::Depthwise ? layer.in_c : layer.out_c;
+  return channels * layer.out_h() * layer.out_w();
+}
+
+/// Fans `prog`'s bursts across 8 workers in chunks finer than the work
+/// floor — one per group, up to 64 — and checks them bit-identical to one
+/// serial chunk of the same plan, with the vector kernels and with the
+/// forced-scalar ones. Under the default floor small layers run as a single
+/// inline chunk, so this is what keeps the group key's write-disjointness
+/// under test (and under TSan) for every geometry and layout the callers
+/// generate. Raw operand buffers: every run reads them in the same (chosen)
+/// layout.
+void expect_fine_chunks_match_serial(const compiler::LayerProgram& prog,
+                                     const LayerData& data) {
+  const sim::detail::EngineTables fine =
+      sim::detail::build_tables(prog, 64, /*min_chunk_maccs=*/1);
+  const sim::detail::EngineTables serial =
+      sim::detail::build_tables(prog, /*max_chunks=*/1, /*min_chunk_maccs=*/1);
+  ASSERT_EQ(serial.chunks.size(), 1u);
+  ASSERT_EQ(fine.layout, serial.layout);
+  ASSERT_EQ(fine.plan_kind, serial.plan_kind);
+  ASSERT_EQ(fine.block, serial.block);
+  EXPECT_EQ(static_cast<std::int64_t>(fine.chunks.size()),
+            std::max<std::int64_t>(
+                1, std::min<std::int64_t>({fine.groups, 64, fine.valid_maccs})));
+  if (fine.groups > 1 && fine.valid_maccs > 1) {
+    EXPECT_GT(fine.chunks.size(), 1u);
+  }
+
+  ThreadPool pool(8);
+  nn::AccTensor a({static_cast<int>(output_elems(prog.layer))});
+  nn::AccTensor b = a;
+  nn::AccTensor c = a;
+  const std::int64_t va = sim::detail::run_functional(
+      serial, data.weights.data(), data.input.data(), a.data(), nullptr);
+  const std::int64_t vb = sim::detail::run_functional(
+      fine, data.weights.data(), data.input.data(), b.data(), &pool);
+  std::int64_t vc = 0;
+  {
+    ScopedScalarOnly scalar_only;
+    vc = sim::detail::run_functional(fine, data.weights.data(),
+                                     data.input.data(), c.data(), &pool);
+  }
+  EXPECT_EQ(va, serial.valid_maccs);
+  EXPECT_EQ(vb, va);
+  EXPECT_EQ(vc, va);
+  EXPECT_EQ(b, a) << fine.chunks.size() << " chunks vs serial: "
+                  << prog.mapping.to_string(prog.workload);
+  EXPECT_EQ(c, a) << "forced-scalar, " << fine.chunks.size() << " chunks";
+}
+
 class EngineSweep : public ::testing::TestWithParam<int> {};
 
 TEST_P(EngineSweep, EngineMatchesReferenceBitExactly) {
@@ -126,6 +197,9 @@ TEST_P(EngineSweep, EngineMatchesReferenceBitExactly) {
   EXPECT_EQ(par.output, fast.output);
   expect_same_stats(par.stats, fast.stats, "jobs=8 vs jobs=1");
   EXPECT_EQ(par.trace, fast.trace);
+  // ... and with the layer really fanned out: small layers run as one
+  // chunk under the default work floor.
+  expect_fine_chunks_match_serial(prog, data);
 
   // (c) stats-only: SimStats + trace identical to the functional run, no
   // output tensor.
@@ -145,13 +219,6 @@ TEST_P(EngineSweep, EngineMatchesReferenceBitExactly) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, EngineSweep, ::testing::Range(0, 48));
-
-/// Forces the scalar oracles for its lifetime; restores the vector path on
-/// exit (set_enabled(true) is a no-op where no vector path exists).
-struct ScopedScalarOnly {
-  ScopedScalarOnly() { simd::set_enabled(false); }
-  ~ScopedScalarOnly() { simd::set_enabled(true); }
-};
 
 /// Runs the fast engine twice — vector dispatch vs forced-scalar — and once
 /// on the reference interpreter; all three must agree bit-exactly.
@@ -179,6 +246,7 @@ void expect_simd_scalar_reference_agree(const compiler::LayerProgram& prog,
       sim::simulate_layer(prog, cfg, data.weights, data.input, ref_opt);
   EXPECT_EQ(vec.output, ref.output)
       << "SIMD vs reference, jobs=" << jobs;
+  if (jobs > 1) expect_fine_chunks_match_serial(prog, data);
 }
 
 // The randomized sweep again, now pinning the vector dispatch against the
@@ -196,6 +264,7 @@ TEST_P(SimdSweep, SimdMatchesScalarBitExactly) {
   const LayerData data =
       make_data(layer, static_cast<std::uint64_t>(GetParam()) + 11);
   expect_simd_scalar_reference_agree(prog, cfg, data, /*jobs=*/1);
+  expect_fine_chunks_match_serial(prog, data);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, SimdSweep, ::testing::Range(0, 49));
@@ -246,11 +315,14 @@ TEST(SimEngine, SingleElementRunsAndNarrowBursts) {
 TEST(SimEngine, SharedPoolAndTransientPoolAgree) {
   Rng rng(2026);
   const arch::OverlayConfig cfg = arch::paper_config();
-  const nn::Layer layer = nn::make_conv("eng_pool_conv", 16, 14, 14, 32, 3,
+  // Large enough (over 3M valid MACCs) to clear the per-chunk work floor,
+  // so both pools really fan out.
+  const nn::Layer layer = nn::make_conv("eng_pool_conv", 32, 14, 14, 64, 3,
                                         /*stride=*/1, /*pad=*/1);
   const compiler::LayerProgram prog =
       compiler::compile_layer(layer, cfg, Objective::Performance, 4'000);
   ASSERT_EQ(prog.weight_groups, 1);
+  ASSERT_GT(sim::detail::build_tables(prog).chunks.size(), 1u);
   const LayerData data = make_data(layer, 99);
 
   sim::SimOptions shared;  // jobs = 0: CompilerSession pool
@@ -331,6 +403,170 @@ TEST(SimEngine, MaxPaddedMacsErrorNamesTheCounts) {
               std::string::npos)
         << msg;
     EXPECT_NE(msg.find("max_padded_macs = 1"), std::string::npos) << msg;
+  }
+}
+
+// ---- layout-aware vector plans ----------------------------------------------
+
+using PlanKind = sim::detail::EngineTables::PlanKind;
+using Tiles = std::array<std::vector<std::int64_t>, compiler::kHwLevels>;
+
+/// Lowers an explicit mapping, so each case below pins the exact plan it
+/// targets instead of whatever the search happens to find. Tiles are per
+/// hardware level (D1, D2, D3, X, L, T), per workload loop (conv: M, N, E,
+/// F, R, S; MM: M, N, P).
+compiler::LayerProgram hand_program(const nn::Layer& layer, const Tiles& tiles,
+                                    const arch::OverlayConfig& cfg) {
+  const compiler::Workload w = compiler::Workload::from_layer(layer);
+  compiler::Solution sol;
+  sol.mapping.t = tiles;
+  sol.perf = compiler::evaluate(w, sol.mapping, cfg);
+  return compiler::lower_solution(layer, w, sol);
+}
+
+/// Random data saturated with int16 extremes: -32768 (whose square
+/// overflows pairwise multiply-add) and 32767, mixed with small values.
+LayerData extreme_data(const nn::Layer& layer, std::uint64_t seed) {
+  LayerData d = make_data(layer, seed);
+  Rng rng(seed ^ 0x5a5a);
+  for (nn::Tensor16* t : {&d.weights, &d.input}) {
+    for (std::int64_t i = 0; i < t->size(); ++i) {
+      const double u = rng.uniform01();
+      if (u < 0.4) (*t)[i] = -32768;
+      else if (u < 0.6) (*t)[i] = 32767;
+    }
+  }
+  return d;
+}
+
+struct LayoutCase {
+  const char* what;
+  nn::Layer layer;
+  Tiles tiles;
+  sim::OperandLayout layout;
+  PlanKind kind;
+  bool fused;  ///< block > 1
+};
+
+std::vector<LayoutCase> layout_cases() {
+  using L = sim::OperandLayout;
+  return {
+      // Conv tiles: {M, N, E, F, R, S} per level D1, D2, D3, X, L, T.
+      {"out-inner fused, dense (1x1, exact trips)",
+       nn::make_conv("lay_mi_dense", 16, 12, 12, 24, 1, 1, 0),
+       {{{1, 1, 1, 6, 1, 1}, {4, 1, 1, 1, 1, 1}, {1, 1, 12, 1, 1, 1},
+         {1, 1, 1, 2, 1, 1}, {1, 16, 1, 1, 1, 1}, {6, 1, 1, 1, 1, 1}}},
+       L::OutChannelInner, PlanKind::AxpyW, true},
+      {"out-inner fused, stride-2 pad, trip-spilled",
+       nn::make_conv("lay_mi_s2", 3, 9, 9, 21, 3, 2, 1),
+       {{{1, 1, 1, 5, 1, 1}, {4, 1, 1, 1, 1, 1}, {1, 1, 5, 1, 1, 1},
+         {1, 1, 1, 1, 1, 1}, {1, 3, 1, 1, 3, 1}, {6, 1, 1, 1, 1, 3}}},
+       L::OutChannelInner, PlanKind::AxpyW, true},
+      {"out-inner unfused (X tile on M), pad-clipped",
+       nn::make_conv("lay_mi_unfused", 5, 7, 7, 18, 3, 1, 1),
+       {{{1, 1, 1, 1, 1, 1}, {3, 1, 1, 1, 1, 1}, {1, 1, 7, 1, 1, 1},
+         {2, 1, 1, 1, 1, 1}, {1, 5, 1, 7, 3, 3}, {3, 1, 1, 1, 1, 1}}},
+       L::OutChannelInner, PlanKind::AxpyW, false},
+      {"in-inner fused, dense (1x1, exact trips)",
+       nn::make_conv("lay_ni_dense", 24, 10, 10, 6, 1, 1, 0),
+       {{{1, 4, 1, 1, 1, 1}, {1, 1, 1, 1, 1, 1}, {1, 1, 10, 1, 1, 1},
+         {1, 1, 1, 10, 1, 1}, {6, 1, 1, 1, 1, 1}, {1, 6, 1, 1, 1, 1}}},
+       L::InChannelInner, PlanKind::Dot, true},
+      {"in-inner fused, stride-2 pad, trip-spilled",
+       nn::make_conv("lay_ni_s2", 11, 9, 9, 5, 3, 2, 1),
+       {{{1, 3, 1, 1, 1, 1}, {1, 1, 1, 1, 1, 1}, {1, 1, 5, 1, 1, 1},
+         {1, 1, 1, 5, 1, 1}, {5, 1, 1, 1, 3, 1}, {1, 4, 1, 1, 1, 3}}},
+       L::InChannelInner, PlanKind::Dot, true},
+      {"in-inner unfused (L tile on N), pad-clipped",
+       nn::make_conv("lay_ni_unfused", 20, 6, 6, 4, 3, 1, 1),
+       {{{1, 2, 1, 1, 1, 1}, {1, 1, 1, 1, 1, 1}, {1, 1, 6, 1, 1, 1},
+         {1, 1, 1, 6, 1, 1}, {4, 2, 1, 1, 3, 3}, {1, 5, 1, 1, 1, 1}}},
+       L::InChannelInner, PlanKind::Dot, false},
+      {"native axpy over F, pad-clipped",
+       nn::make_conv("lay_native", 4, 8, 8, 3, 3, 1, 1),
+       {{{1, 1, 1, 1, 1, 1}, {1, 1, 1, 1, 1, 1}, {1, 1, 8, 1, 1, 1},
+         {1, 1, 1, 1, 1, 1}, {3, 4, 1, 1, 3, 3}, {1, 1, 1, 8, 1, 1}}},
+       L::Native, PlanKind::Axpy, false},
+      // MM tiles: {M, N, P} per level.
+      // One chunk's worth of MACCs: fuses all 3 output groups (under the
+      // fine-chunk floor of expect_fine_chunks_match_serial it keeps them
+      // and stays unfused).
+      {"MM out-inner fused (fc-shaped), trip-spilled",
+       nn::make_matmul("lay_mm_mi", 40, 28, 1),
+       {{{8, 1, 1}, {1, 3, 1}, {1, 1, 1}, {1, 1, 1}, {5, 1, 1},
+         {1, 10, 1}}},
+       L::OutChannelInner, PlanKind::AxpyW, true},
+      {"MM in-inner fused",
+       nn::make_matmul("lay_mm_ni", 32, 6, 3),
+       {{{4, 1, 1}, {1, 2, 1}, {1, 1, 1}, {1, 1, 1}, {1, 3, 3},
+         {8, 1, 1}}},
+       L::InChannelInner, PlanKind::Dot, true},
+  };
+}
+
+// Each operand layout the plan search can choose — native, output channels
+// innermost and input channels innermost — over dense and guarded
+// (trip-spilled and pad-clipped) bursts, fused and unfused blocks and a
+// stride-2 padded conv: Fast≡Reference and SIMD≡scalar at jobs 1 and 8 on
+// int16-extreme data — these layers are one chunk under the work floor, so
+// jobs 8 also fans them out one chunk per group — and the CachedLayerSim
+// engine-layout path agreeing with simulate_layer once its output is
+// un-permuted.
+TEST(SimEngine, LayoutPlansMatchReferenceAndScalar) {
+  const arch::OverlayConfig cfg = arch::paper_config();
+  for (const LayoutCase& c : layout_cases()) {
+    SCOPED_TRACE(c.what);
+    const compiler::LayerProgram prog = hand_program(c.layer, c.tiles, cfg);
+    const sim::detail::EngineTables tb = sim::detail::build_tables(prog);
+    ASSERT_EQ(tb.layout, c.layout);
+    ASSERT_EQ(tb.plan_kind, c.kind);
+    EXPECT_EQ(tb.block > 1, c.fused) << "block " << tb.block;
+    EXPECT_EQ(tb.chunks.size(), 1u);
+
+    const LayerData data = extreme_data(c.layer, 17);
+    for (int jobs : {1, 8})
+      expect_simd_scalar_reference_agree(prog, cfg, data, jobs);
+
+    sim::SimOptions opt;
+    opt.jobs = 1;
+    const sim::SimResult one_shot =
+        sim::simulate_layer(prog, cfg, data.weights, data.input, opt);
+    sim::CachedLayerSim cached(prog, cfg, opt);
+    ASSERT_EQ(cached.layout(), c.layout);
+    nn::AccTensor out;
+    EXPECT_THROW(cached.run(data.input, out), ConfigError);  // no weights yet
+    cached.load_weights(data.weights);
+    cached.run(data.input, out);
+    // The engine-layout accumulators, un-permuted by hand ...
+    nn::AccTensor restored(one_shot.output.dims());
+    const std::int64_t channels = restored.dims()[0];
+    const std::int64_t plane = restored.size() / channels;
+    for (std::int64_t ch = 0; ch < channels; ++ch)
+      for (std::int64_t i = 0; i < plane; ++i)
+        restored[ch * plane + i] =
+            c.layout == sim::OperandLayout::OutChannelInner
+                ? out[i * channels + ch]
+                : out[ch * plane + i];
+    EXPECT_EQ(restored, one_shot.output);
+    // ... and by the runner's own stitch copy.
+    nn::AccTensor stored(one_shot.output.dims());
+    cached.store_output(out, stored.data());
+    EXPECT_EQ(stored, one_shot.output);
+  }
+}
+
+// The plan-quality floor: at paper_config every ResNet50 overlay layer gets
+// a vector plan — none falls back to the scalar legacy kernels.
+TEST(SimEngine, EveryResNet50LayerGetsAVectorPlan) {
+  const arch::OverlayConfig cfg = arch::paper_config();
+  const nn::Network& net = nn::model_by_name("ResNet50");
+  for (const nn::Layer& layer : net.overlay_layers()) {
+    const compiler::LayerProgram prog =
+        compiler::compile_layer(layer, cfg, Objective::Performance, 2'000);
+    const sim::detail::EngineTables tb = sim::detail::build_tables(prog);
+    EXPECT_NE(tb.plan_kind, PlanKind::None)
+        << layer.name << ": " << prog.mapping.to_string(prog.workload);
+    EXPECT_GE(tb.cols, 2) << layer.name;
   }
 }
 
