@@ -1,5 +1,6 @@
 #include "common/simd.h"
 
+#include <atomic>
 #include <cstdlib>
 #include <cstring>
 
@@ -229,13 +230,19 @@ const Impl& vector_impl() {
 }
 
 /// Active implementation; flipped between vector_impl() and kScalar by
-/// set_enabled(). Plain pointer: readers race-free because set_enabled is
-/// documented as setup-time only.
-const Impl* g_active = nullptr;
+/// set_enabled(). Atomic: the first kernel calls, which resolve the lazy
+/// default, may come from several pool workers at once.
+std::atomic<const Impl*> g_active{nullptr};
 
 const Impl& active_impl() {
-  if (g_active == nullptr) g_active = &vector_impl();
-  return *g_active;
+  const Impl* impl = g_active.load();
+  if (impl == nullptr) {
+    // Publish the default unless set_enabled() got there first.
+    const Impl* expected = nullptr;
+    impl = &vector_impl();
+    if (!g_active.compare_exchange_strong(expected, impl)) impl = expected;
+  }
+  return *impl;
 }
 
 }  // namespace
@@ -260,6 +267,8 @@ int lanes() { return active_impl().lanes; }
 
 bool active() { return active_impl().lanes > 1; }
 
-void set_enabled(bool on) { g_active = on ? &vector_impl() : &kScalar; }
+void set_enabled(bool on) {
+  g_active.store(on ? &vector_impl() : &kScalar);
+}
 
 }  // namespace ftdl::simd

@@ -14,7 +14,8 @@
 // deliberately not used). Integer addition is associative, so lane-wise
 // reassociation of the dot reduction cannot change the result.
 //
-// Dispatch: the implementation is chosen once at first use —
+// Dispatch: the implementation is chosen once at first use (race-free:
+// the first calls may come from several threads at once) —
 //   * x86-64: AVX2 via per-function target attributes when the running CPU
 //     reports it (__builtin_cpu_supports), so no special build flags are
 //     needed and the same binary runs on non-AVX2 hosts;
@@ -85,8 +86,9 @@ bool active();
 
 /// Runtime kill switch: set_enabled(false) routes dot_i16/axpy_i16 through
 /// the scalar oracles until re-enabled. Enabling is a no-op when no vector
-/// implementation is compiled in or supported by the CPU. Not thread-safe
-/// against concurrent kernel calls; intended for test setup and tools.
+/// implementation is compiled in or supported by the CPU. Kernel calls
+/// already running finish on the implementation they started with;
+/// intended for test setup and tools.
 void set_enabled(bool on);
 
 }  // namespace ftdl::simd

@@ -1,14 +1,18 @@
 #include "common/thread_pool.h"
 
+#include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <cstdlib>
 #include <deque>
 #include <exception>
+#include <limits>
 #include <thread>
 #include <vector>
 
 #include "common/error.h"
 #include "common/mutex.h"
+#include "common/str_util.h"
 #include "common/thread_annotations.h"
 
 namespace ftdl {
@@ -150,12 +154,11 @@ void ThreadPool::parallel_for(std::size_t count,
 }
 
 int default_jobs() {
-  if (const char* env = std::getenv("FTDL_JOBS")) {
-    const int n = std::atoi(env);
-    if (n >= 1) return n;
-  }
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw >= 1 ? static_cast<int>(hw) : 1;
+  std::int64_t n = 0;
+  if (!parse_int_strict(std::getenv("FTDL_JOBS"), 1,
+                        std::numeric_limits<std::int64_t>::max(), &n))
+    n = std::max(1u, std::thread::hardware_concurrency());
+  return static_cast<int>(std::min<std::int64_t>(n, kMaxDefaultJobs));
 }
 
 }  // namespace ftdl

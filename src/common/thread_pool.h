@@ -61,9 +61,14 @@ class ThreadPool {
   std::unique_ptr<Impl> impl_;
 };
 
-/// Default parallelism: the FTDL_JOBS environment variable when it parses
-/// to a positive integer, otherwise std::thread::hardware_concurrency()
-/// (at least 1).
+/// Ceiling on default_jobs(): a mistyped FTDL_JOBS must not start
+/// thousands of threads.
+constexpr int kMaxDefaultJobs = 256;
+
+/// Default parallelism: the FTDL_JOBS environment variable when the whole
+/// value is a positive base-10 integer, otherwise (garbage, trailing text,
+/// zero, negative, int64 overflow) std::thread::hardware_concurrency(), at
+/// least 1. Either is clamped to kMaxDefaultJobs.
 int default_jobs();
 
 }  // namespace ftdl

@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <unordered_map>
 
 #include "common/error.h"
+#include "common/str_util.h"
 
 namespace ftdl::obs::stream {
 
@@ -393,11 +395,19 @@ std::vector<Transaction> reconstruct_transactions(const ReconstructedLog& r) {
       if (parent >= 0) {
         const TraceEvent& batch = r.events[static_cast<std::size_t>(parent)];
         if (batch.name == "batch") {
-          if (const std::string* bid = arg_of(batch, "batch"))
-            t.batch = std::strtoull(bid->c_str(), nullptr, 10);
-          if (const std::string* sz = arg_of(batch, "size"))
-            t.batch_size = static_cast<int>(std::strtol(sz->c_str(),
-                                                        nullptr, 10));
+          // Strict parses: a malformed or out-of-range arg leaves the
+          // field at its unknown default (0) instead of wrapping.
+          std::int64_t v = 0;
+          const std::string* bid = arg_of(batch, "batch");
+          if (bid != nullptr &&
+              parse_int_strict(bid->c_str(), 0,
+                               std::numeric_limits<std::int64_t>::max(), &v))
+            t.batch = static_cast<std::uint64_t>(v);
+          const std::string* sz = arg_of(batch, "size");
+          if (sz != nullptr &&
+              parse_int_strict(sz->c_str(), 1,
+                               std::numeric_limits<int>::max(), &v))
+            t.batch_size = static_cast<int>(v);
         }
       }
     }

@@ -255,15 +255,13 @@ EngineTables build_tables(const compiler::LayerProgram& program,
 
   // ---- vector-plan search over (layout, loop, kind) ---------------------
   // Pick the unit-coefficient loop with the longest contiguous sweep (see
-  // the header): its T tile, times the spatial states fused into it. A
-  // loop's spatial digits can fuse when they are gidx-contiguous
-  // (sp_stride == t_ext <=> its X/L tiles are 1). Fusing an output loop
-  // takes its fused digit out of the group key, so the block is the
-  // largest divisor of the spatial extent that keeps at least as many
-  // groups as the layer can use as chunks: kMinFusedGroups, fewer when the
-  // layer has fewer groups or too few MACCs for that many chunks (a
-  // single-chunk layer fuses fully). Native is scored first and a re-laid
-  // candidate must be strictly longer.
+  // the header): its X*L*T extent (sp_stride), times the spatial states
+  // fused into it. Fusing an output loop takes its fused digit out of the
+  // group key, so the block is the largest divisor of the spatial extent
+  // that keeps at least as many groups as the layer can use as chunks:
+  // kMinFusedGroups, fewer when the layer has fewer groups or too few
+  // MACCs for that many chunks (a single-chunk layer fuses fully). Native
+  // is scored first and a re-laid candidate must be strictly longer.
   std::int64_t out_groups = 1;  // groups with every output digit keyed
   {
     const LayoutCoeffs native = layout_coeffs(w, layer, OperandLayout::Native);
@@ -286,15 +284,12 @@ EngineTables build_tables(const compiler::LayerProgram& program,
       const EngineTables::PlanKind kind =
           plan_kind_of(lc.in[iu], lc.w[iu], lc.out[iu]);
       if (kind == EngineTables::PlanKind::None) continue;
-      std::int64_t nb = 1;
-      if (tb.sp_stride[iu] == tb.t_ext[iu]) {
-        nb = tb.sp_ext[iu];
-        while (lc.out[iu] != 0 && out_groups / nb < min_groups) {
-          do --nb;
-          while (tb.sp_ext[iu] % nb != 0);
-        }
+      std::int64_t nb = tb.sp_ext[iu];
+      while (lc.out[iu] != 0 && out_groups / nb < min_groups) {
+        do --nb;
+        while (tb.sp_ext[iu] % nb != 0);
       }
-      const std::int64_t cols = nb * tb.t_ext[iu];
+      const std::int64_t cols = nb * tb.sp_stride[iu];
       if (cols < 2) continue;  // nothing to sweep; legacy kernels are fine
       if (tb.plan_kind == EngineTables::PlanKind::None || cols > tb.cols) {
         tb.layout = layout;
@@ -504,7 +499,7 @@ EngineTables build_tables(const compiler::LayerProgram& program,
       }
       if (!ok) {
         tb.block = 1;
-        tb.cols = tb.t_ext[lcu];
+        tb.cols = tb.sp_stride[lcu];
       }
     }
     if (tb.cols < 2) {
@@ -545,7 +540,7 @@ EngineTables build_tables(const compiler::LayerProgram& program,
       tb.col_dcx = ccx[lcu];
     }
     // T states with the ℓc/ℓr digits zero: (t0, row, col) then enumerates
-    // every (spatial-in-block, t) iteration exactly once.
+    // every (spatial-in-block, X/L digits of ℓc, t) iteration exactly once.
     for (std::int64_t t = 0; t < tb.T; ++t) {
       if (tb.td[lcu * static_cast<std::size_t>(tb.T) +
                 static_cast<std::size_t>(t)] != 0)
@@ -557,7 +552,30 @@ EngineTables build_tables(const compiler::LayerProgram& program,
         continue;
       tb.plan_t0.push_back(t);
     }
+    // Dense-block bounds: the sweep covers cols gidx steps of ℓc and the T
+    // tile of every other loop; image coordinates grow with every index.
+    tb.sweep_ext = tb.t_ext;
+    tb.sweep_ext[lcu] = tb.cols;
+    if (tb.conv) {
+      tb.ry_sweep_max = tb.ry_t_max + tb.col_dry * (tb.cols - tb.t_ext[lcu]);
+      tb.cx_sweep_max = tb.cx_t_max + tb.col_dcx * (tb.cols - tb.t_ext[lcu]);
+    }
   }
+  // X/L states of the burst loop: ℓc's X and L digits run inside the sweep.
+  auto burst_states = [&](const std::vector<std::int64_t>& dig,
+                          std::int64_t states) {
+    std::vector<std::int64_t> out;
+    for (std::int64_t s = 0; s < states; ++s) {
+      if (tb.col_loop < 0 ||
+          dig[static_cast<std::size_t>(tb.col_loop) *
+                  static_cast<std::size_t>(states) +
+              static_cast<std::size_t>(s)] == 0)
+        out.push_back(s);
+    }
+    return out;
+  };
+  tb.burst_x = burst_states(x_dig, tb.X);
+  tb.burst_l = burst_states(l_dig, tb.L);
 
   // ---- chunks: contiguous runs of whole groups -------------------------
   std::vector<std::int64_t> group_start;  // first permuted index per group
@@ -793,66 +811,61 @@ inline void sweep(const std::int16_t* weights, const std::int16_t* input,
   }
 }
 
-/// Interior kernel when a vector plan is set: every (block, t0, row) slice
-/// is one contiguous sweep of tb.cols MACCs handed to the runtime-dispatched
-/// SIMD kernels.
-template <EngineTables::PlanKind K>
-void dense_burst_plan(const EngineTables& tb, const BurstBases& b,
-                      std::int64_t begin, std::int64_t end,
-                      const std::int16_t* FTDL_RESTRICT weights,
-                      const std::int16_t* FTDL_RESTRICT input, acc_t* out) {
-  const std::int64_t* FTDL_RESTRICT in_sp = tb.in_sp.data();
-  const std::int64_t* FTDL_RESTRICT w_sp = tb.w_sp.data();
-  const std::int64_t* FTDL_RESTRICT out_sp = tb.out_sp.data();
-  const std::int64_t* FTDL_RESTRICT in_t = tb.in_t.data();
-  const std::int64_t* FTDL_RESTRICT w_t = tb.w_t.data();
-  const std::int64_t* FTDL_RESTRICT out_t = tb.out_t.data();
-  const std::int64_t cols = tb.cols;
-  const std::int64_t rows = tb.rows;
-  for (std::int64_t s0 = begin; s0 < end; s0 += tb.block) {
-    const std::int64_t in_s = b.in_b + in_sp[s0];
-    const std::int64_t w_s = b.w_b + w_sp[s0];
-    const std::int64_t out_s = b.out_b + out_sp[s0];
-    for (const std::int64_t t0 : tb.plan_t0) {
-      const auto t0u = static_cast<std::size_t>(t0);
-      std::int64_t i0 = in_s + in_t[t0u];
-      std::int64_t w0 = w_s + w_t[t0u];
-      std::int64_t o0 = out_s + out_t[t0u];
-      for (std::int64_t r = 0; r < rows;
-           ++r, i0 += tb.row_din, w0 += tb.row_dw, o0 += tb.row_dout)
-        sweep<K>(weights, input, out, i0, w0, o0, cols);
-    }
+/// Clips the column slice [clo, chi) of a sweep to the columns whose image
+/// coordinate p0 + j*d (d >= 0) lies in [0, bound): a unit step needs no
+/// division. Returns false when a constant coordinate (d == 0) is outside.
+inline bool clip_image(std::int64_t p0, std::int64_t d, std::int64_t bound,
+                       std::int64_t& clo, std::int64_t& chi) {
+  if (d == 0) return p0 >= 0 && p0 < bound;
+  if (d == 1) {
+    clo = std::max(clo, -p0);
+    chi = std::min(chi, bound - p0);
+  } else {
+    if (p0 < 0) clo = std::max(clo, ceil_div(-p0, d));
+    chi = std::min(chi, ceil_div(bound - p0, d));
   }
+  return true;
 }
 
-/// Guarded edge kernel under a vector plan: the trip clip on ℓc is one
-/// contiguous [clo, chi) slice of the column sweep (gidx_ℓc advances by 1
-/// per column), the row clip bounds ℓr, and the conv image clips stay
-/// integer divisions — so even edge bursts feed long SIMD sweeps. Returns
-/// the number of valid MACCs executed.
+/// The functional kernel under a vector plan: per fused block, every
+/// (t0, row) slice is one contiguous sweep of up to tb.cols MACCs handed to
+/// the runtime-dispatched SIMD kernels. Density is decided per block: an
+/// interior block runs the branch-free row x column loop; an edge block
+/// clips each sweep — the trip clip on ℓc is one contiguous [0, chi) slice
+/// (gidx_ℓc advances by 1 per column), the row clip bounds ℓr and the conv
+/// image clip is one [clo, chi) interval per axis, computed once per t0
+/// when the row loop does not move the image coordinates. Returns the
+/// number of valid MACCs executed.
 template <EngineTables::PlanKind K>
-std::int64_t guarded_burst_plan(const EngineTables& tb, const BurstBases& b,
-                                std::int64_t begin, std::int64_t end,
-                                const std::int16_t* weights,
-                                const std::int16_t* input, acc_t* out) {
+std::int64_t burst_plan(const EngineTables& tb, const BurstBases& b,
+                        std::int64_t begin, std::int64_t end,
+                        const std::int16_t* FTDL_RESTRICT weights,
+                        const std::int16_t* FTDL_RESTRICT input, acc_t* out) {
   const int k = tb.k;
   const std::int64_t S = tb.S;
   const auto lcu = static_cast<std::size_t>(tb.col_loop);
+  const std::int64_t cols = tb.cols;
+  const std::int64_t rows = tb.rows;
+  const bool row_moves_image = tb.row_dry != 0 || tb.row_dcx != 0;
+  const std::int64_t dense_maccs =
+      static_cast<std::int64_t>(tb.plan_t0.size()) * rows * cols;
   std::int64_t valid = 0;
   std::array<std::int64_t, kMaxLoops> slack{};
   for (std::int64_t s0 = begin; s0 < end; s0 += tb.block) {
-    // Per-loop digit headroom at the block start; within the block only
-    // ℓc's digit varies and its sweep is clipped by chi_all below.
+    // Per-loop digit headroom at the block start: a digit d_i past it is
+    // in-trip iff d_i < slack_i. Within the block only ℓc's index moves,
+    // by one per column.
     bool dead = false;
+    bool dense = true;
     for (int i = 0; i < k; ++i) {
       const auto iu = static_cast<std::size_t>(i);
       slack[iu] =
           tb.trip[iu] - b.base[iu] -
           tb.spd[iu * static_cast<std::size_t>(S) + static_cast<std::size_t>(s0)];
-      if (i != tb.col_loop) dead |= slack[iu] <= 0;
+      dead |= slack[iu] <= 0;
+      dense &= slack[iu] >= tb.sweep_ext[iu];
     }
-    const std::int64_t chi_all = std::min(tb.cols, slack[lcu]);
-    if (dead || chi_all <= 0) continue;
+    if (dead) continue;  // digit 0 already spills: nothing valid
     const std::int64_t in_s = b.in_b + tb.in_sp[static_cast<std::size_t>(s0)];
     const std::int64_t w_s = b.w_b + tb.w_sp[static_cast<std::size_t>(s0)];
     const std::int64_t out_s = b.out_b + tb.out_sp[static_cast<std::size_t>(s0)];
@@ -860,6 +873,24 @@ std::int64_t guarded_burst_plan(const EngineTables& tb, const BurstBases& b,
         tb.conv ? b.ry_b + tb.ry_sp[static_cast<std::size_t>(s0)] : 0;
     const std::int64_t cx_s =
         tb.conv ? b.cx_b + tb.cx_sp[static_cast<std::size_t>(s0)] : 0;
+    if (tb.conv) {
+      dense &= ry_s >= 0 && ry_s + tb.ry_sweep_max < tb.in_h && cx_s >= 0 &&
+               cx_s + tb.cx_sweep_max < tb.in_w;
+    }
+    if (dense) {
+      for (const std::int64_t t0 : tb.plan_t0) {
+        const auto t0u = static_cast<std::size_t>(t0);
+        std::int64_t i0 = in_s + tb.in_t[t0u];
+        std::int64_t w0 = w_s + tb.w_t[t0u];
+        std::int64_t o0 = out_s + tb.out_t[t0u];
+        for (std::int64_t r = 0; r < rows;
+             ++r, i0 += tb.row_din, w0 += tb.row_dw, o0 += tb.row_dout)
+          sweep<K>(weights, input, out, i0, w0, o0, cols);
+      }
+      valid += dense_maccs;
+      continue;
+    }
+    const std::int64_t chi_all = std::min(cols, slack[lcu]);
     for (const std::int64_t t0 : tb.plan_t0) {
       const auto t0u = static_cast<std::size_t>(t0);
       // Constant digits of this t0 (the ℓc/ℓr digits are 0 by plan_t0
@@ -867,11 +898,10 @@ std::int64_t guarded_burst_plan(const EngineTables& tb, const BurstBases& b,
       bool ok = true;
       for (int i = 0; i < k; ++i) {
         const auto iu = static_cast<std::size_t>(i);
-        ok &= tb.td[iu * static_cast<std::size_t>(tb.T) + t0u] <
-              slack[iu];
+        ok &= tb.td[iu * static_cast<std::size_t>(tb.T) + t0u] < slack[iu];
       }
       if (!ok) continue;
-      std::int64_t rhi = tb.rows;
+      std::int64_t rhi = rows;
       if (tb.row_loop >= 0)
         rhi = std::min(rhi, slack[static_cast<std::size_t>(tb.row_loop)]);
       std::int64_t i0 = in_s + tb.in_t[t0u];
@@ -879,32 +909,28 @@ std::int64_t guarded_burst_plan(const EngineTables& tb, const BurstBases& b,
       std::int64_t o0 = out_s + tb.out_t[t0u];
       std::int64_t ry0 = tb.conv ? ry_s + tb.ry_t[t0u] : 0;
       std::int64_t cx0 = tb.conv ? cx_s + tb.cx_t[t0u] : 0;
+      // Image clipping: per column at most one of ry/cx varies (ℓc is a
+      // single workload loop); the other is column-constant and checked
+      // outright.
+      std::int64_t clo = 0;
+      std::int64_t chi = chi_all;
+      if (tb.conv && !row_moves_image &&
+          !(clip_image(ry0, tb.col_dry, tb.in_h, clo, chi) &&
+            clip_image(cx0, tb.col_dcx, tb.in_w, clo, chi)))
+        continue;
       for (std::int64_t r = 0; r < rhi;
            ++r, i0 += tb.row_din, w0 += tb.row_dw, o0 += tb.row_dout,
                 ry0 += tb.row_dry, cx0 += tb.row_dcx) {
-        std::int64_t clo = 0;
-        std::int64_t chi = chi_all;
-        if (tb.conv) {
-          // Image clipping: per column at most one of ry/cx varies (ℓc is a
-          // single workload loop); the other is row-constant and checked
-          // outright.
-          if (tb.col_dry == 0) {
-            if (ry0 < 0 || ry0 >= tb.in_h) continue;
-          } else {
-            if (ry0 < 0) clo = std::max(clo, ceil_div(-ry0, tb.col_dry));
-            chi = std::min(chi, ceil_div(tb.in_h - ry0, tb.col_dry));
-          }
-          if (tb.col_dcx == 0) {
-            if (cx0 < 0 || cx0 >= tb.in_w) continue;
-          } else {
-            if (cx0 < 0) clo = std::max(clo, ceil_div(-cx0, tb.col_dcx));
-            chi = std::min(chi, ceil_div(tb.in_w - cx0, tb.col_dcx));
-          }
-        }
-        if (chi <= clo) continue;
-        sweep<K>(weights, input, out, i0 + clo * tb.col_din,
-                 w0 + clo * tb.col_dw, o0 + clo * tb.col_dout, chi - clo);
-        valid += chi - clo;
+        std::int64_t lo = clo;
+        std::int64_t hi = chi;
+        if (tb.conv && row_moves_image &&
+            !(clip_image(ry0, tb.col_dry, tb.in_h, lo, hi) &&
+              clip_image(cx0, tb.col_dcx, tb.in_w, lo, hi)))
+          continue;
+        if (hi <= lo) continue;
+        sweep<K>(weights, input, out, i0 + lo * tb.col_din,
+                 w0 + lo * tb.col_dw, o0 + lo * tb.col_dout, hi - lo);
+        valid += hi - lo;
       }
     }
   }
@@ -920,48 +946,32 @@ std::int64_t run_functional(const EngineTables& tb, const std::int16_t* weights,
   auto run_chunk = [&](std::size_t ci) -> std::int64_t {
     const EngineTables::Chunk& c = tb.chunks[ci];
     std::int64_t v = 0;
-    for (std::int64_t x = 0; x < tb.X; ++x) {
-      for (std::int64_t l = 0; l < tb.L; ++l) {
+    for (const std::int64_t x : tb.burst_x) {
+      for (const std::int64_t l : tb.burst_l) {
         const BurstBases b = burst_bases(tb, x, l);
         using PK = EngineTables::PlanKind;
-        if (burst_is_dense(tb, b, c.sp_max.data(), c.ry_sp_min, c.ry_sp_max,
-                           c.cx_sp_min, c.cx_sp_max)) {
-          switch (tb.plan_kind) {
-            case PK::Dot:
-              dense_burst_plan<PK::Dot>(tb, b, c.begin, c.end, weights, input,
-                                        out);
-              break;
-            case PK::Axpy:
-              dense_burst_plan<PK::Axpy>(tb, b, c.begin, c.end, weights,
-                                         input, out);
-              break;
-            case PK::AxpyW:
-              dense_burst_plan<PK::AxpyW>(tb, b, c.begin, c.end, weights,
-                                          input, out);
-              break;
-            case PK::None:
+        switch (tb.plan_kind) {
+          case PK::Dot:
+            v += burst_plan<PK::Dot>(tb, b, c.begin, c.end, weights, input,
+                                     out);
+            break;
+          case PK::Axpy:
+            v += burst_plan<PK::Axpy>(tb, b, c.begin, c.end, weights, input,
+                                      out);
+            break;
+          case PK::AxpyW:
+            v += burst_plan<PK::AxpyW>(tb, b, c.begin, c.end, weights, input,
+                                       out);
+            break;
+          case PK::None:
+            if (burst_is_dense(tb, b, c.sp_max.data(), c.ry_sp_min,
+                               c.ry_sp_max, c.cx_sp_min, c.cx_sp_max)) {
               dense_burst(tb, b, c.begin, c.end, weights, input, out);
-              break;
-          }
-          v += (c.end - c.begin) * tb.T;
-        } else {
-          switch (tb.plan_kind) {
-            case PK::Dot:
-              v += guarded_burst_plan<PK::Dot>(tb, b, c.begin, c.end, weights,
-                                               input, out);
-              break;
-            case PK::Axpy:
-              v += guarded_burst_plan<PK::Axpy>(tb, b, c.begin, c.end,
-                                                weights, input, out);
-              break;
-            case PK::AxpyW:
-              v += guarded_burst_plan<PK::AxpyW>(tb, b, c.begin, c.end,
-                                                 weights, input, out);
-              break;
-            case PK::None:
+              v += (c.end - c.begin) * tb.T;
+            } else {
               v += guarded_burst(tb, b, c.begin, c.end, weights, input, out);
-              break;
-          }
+            }
+            break;
         }
       }
     }

@@ -24,15 +24,16 @@
 //     the engine layout and kept by their runner — never a
 //     reference-layout copy beside them — and per-run scratch (an HWC
 //     input) comes from the installed TensorArena;
-//   * bursts whose whole (spatial, t) sub-space is in-trip and free of pad
-//     clipping are detected by interval arithmetic on the precomputed
-//     digit ranges and run through a branch-free dense MACC kernel; edge
-//     bursts fall back to a guarded (but still table-driven) loop;
+//   * work whose whole (spatial, t) sub-space is in-trip and free of pad
+//     clipping is detected by interval arithmetic on the precomputed
+//     digit ranges and runs through a branch-free dense MACC kernel; edge
+//     work falls back to a guarded (but still table-driven) loop;
 //   * both kernels restructure around a *vector plan* (EngineTables docs
-//     below): a unit-coefficient column loop — fused with its contiguous
-//     spatial digits when possible — turns the inner sweep into one long
-//     contiguous dot/axpy fed to the runtime-dispatched SIMD kernels of
-//     common/simd.h, with the scalar oracles as the exactness baseline;
+//     below): a unit-coefficient column loop — its X, L and T digits, fused
+//     with its spatial digits when possible — turns the inner sweep into
+//     one long contiguous dot/axpy fed to the runtime-dispatched SIMD
+//     kernels of common/simd.h, with the scalar oracles as the exactness
+//     baseline; density is then decided per fused block;
 //   * the spatial states are regrouped by their output-projection digits
 //     (the loops with a non-zero output-offset coefficient), so each group
 //     writes a disjoint set of output accumulators — the unit of parallel
@@ -116,31 +117,36 @@ struct EngineTables {
   // The search scores every (layout, loop, kind) candidate through one
   // code path, on the coefficient vectors the layout implies, and keeps the
   // longest sweep; a re-laid candidate must be strictly longer than the
-  // best native one. The column sweep is ℓc's T tile, and when ℓc's
-  // spatial digits are contiguous in gidx too (sp_stride == t_ext, i.e.
-  // its X/L tiles are 1), `block` spatial states fuse into one sweep of
-  // `cols` steps. For an output loop the block is the largest divisor of
-  // its spatial extent leaving as many groups as the layer can use as
-  // chunks — kMinFusedGroups, capped by the layer's MACCs / min_chunk_maccs
-  // (see Chunk) — so a single-chunk layer fuses fully. The
-  // group permutation sorts the low part of ℓc's spatial digit (digit %
-  // block) innermost (full mixed-radix key) to make those states
-  // adjacent; build_tables verifies the fused digit layout and falls back
-  // to block=1 — or no plan — if it does not hold. The *row loop* ℓr
-  // (largest remaining T tile) is hoisted above the sweep with constant
-  // per-row deltas; plan_t0 lists the T states where both ℓc's and ℓr's
-  // digits are zero, so (t0, row, col) enumerates every T state exactly
-  // once. Integer accumulation is exact and associative, so the
-  // reordered/reassociated sums stay bit-identical to the reference
-  // interpreter (and the SIMD kernels are bit-identical to their scalar
-  // oracles by construction).
+  // best native one. The column sweep spans ℓc's X, L and T digits: inside
+  // one spatial state gidx_ℓc = sp*sp_stride + (x*TL + l)*TT + t is
+  // contiguous, so one sweep covers sp_stride[ℓc] steps and the burst loop
+  // visits only the X/L states whose ℓc digits are zero (burst_x,
+  // burst_l). Consecutive spatial digits continue the same index, so
+  // `block` spatial states fuse into one sweep of `cols` steps. For an
+  // output loop the block is the largest divisor of its spatial extent
+  // leaving as many groups as the layer can use as chunks —
+  // kMinFusedGroups, capped by the layer's MACCs / min_chunk_maccs (see
+  // Chunk) — so a single-chunk layer fuses fully. The group permutation
+  // sorts the low part of ℓc's spatial digit (digit % block) innermost
+  // (full mixed-radix key) to make those states adjacent; build_tables
+  // verifies the fused digit layout and falls back to block=1 — or no
+  // plan — if it does not hold. The *row loop* ℓr (largest remaining T tile) is hoisted above
+  // the sweep with constant per-row deltas; plan_t0 lists the T states
+  // where both ℓc's and ℓr's digits are zero, so (burst x/l, t0, row, col)
+  // enumerates every (x, l, spatial-in-block, t) iteration exactly once.
+  // The kernel checks density per block: a block whose whole sweep is
+  // in-trip and inside the image (sweep_ext, ry/cx_sweep_max) runs the
+  // branch-free row x column loop, the others clip each sweep. Integer
+  // accumulation is exact and associative, so the reordered/reassociated
+  // sums stay bit-identical to the reference interpreter (and the SIMD
+  // kernels are bit-identical to their scalar oracles by construction).
   enum class PlanKind : std::uint8_t { None, Dot, Axpy, AxpyW };
   OperandLayout layout = OperandLayout::Native;  ///< operand layouts the
                                                  ///< coefficients describe
   PlanKind plan_kind = PlanKind::None;
   int col_loop = -1;       ///< ℓc (-1: no plan, legacy kernels)
   std::int64_t block = 1;  ///< spatial states fused into one column sweep
-  std::int64_t cols = 1;   ///< sweep length = block * t_ext[col_loop]
+  std::int64_t cols = 1;   ///< sweep length = block * sp_stride[col_loop]
   int row_loop = -1;       ///< ℓr (-1: single row)
   std::int64_t rows = 1;
   std::int64_t row_din = 0, row_dw = 0, row_dout = 0;
@@ -148,6 +154,14 @@ struct EngineTables {
   std::int64_t col_din = 0, col_dw = 0, col_dout = 0;  ///< 0 or 1 per kind
   std::int64_t col_dry = 0, col_dcx = 0;  ///< conv only
   std::vector<std::int64_t> plan_t0;  ///< T states with ℓc/ℓr digits zero
+  /// X / L states the burst loop visits: those whose ℓc digit is zero
+  /// under a plan (the sweep covers the rest), every state without one.
+  std::vector<std::int64_t> burst_x, burst_l;
+  /// Per loop, the gidx extent one block's sweep covers past its start:
+  /// cols for ℓc, the T tile for the others (dense-block check).
+  std::vector<std::int64_t> sweep_ext;
+  /// Conv: the largest image row / col offset inside one block's sweep.
+  std::int64_t ry_sweep_max = 0, cx_sweep_max = 0;
 
   // Conv-only: input row/col indices, y = stride*E + R - pad and
   // xc = stride*F + S - pad, decomposed the same way. Empty for MM.
@@ -174,8 +188,9 @@ struct EngineTables {
   /// layers run as one inline chunk and never touch the pool.
   struct Chunk {
     std::int64_t begin = 0, end = 0;
-    // Per-loop max of spd over the range (dense-burst detection; the min is
-    // not needed for the trip check because every contribution is >= 0).
+    // Per-loop max of spd over the range (the legacy kernels' dense-burst
+    // detection; the min is not needed for the trip check because every
+    // contribution is >= 0).
     std::vector<std::int64_t> sp_max;
     std::int64_t ry_sp_min = 0, ry_sp_max = 0;  ///< conv only
     std::int64_t cx_sp_min = 0, cx_sp_max = 0;
@@ -216,7 +231,8 @@ EngineTables build_tables(const compiler::LayerProgram& program,
                           std::int64_t min_chunk_maccs = kMinChunkMaccs);
 
 /// Runs the functional bursts over every (x, l) tile: dense kernel on
-/// interior bursts, guarded loop on edge bursts, fanned across `pool`
+/// interior bursts (plan kernels: interior blocks), guarded loop on edge
+/// ones, fanned across `pool`
 /// (nullptr, jobs()==1 or a single chunk runs serially on the caller).
 /// `weights`, `input` and `out` are in tables.layout (the caller re-lays
 /// them); `out` is zero-initialized by the caller. Returns the number of

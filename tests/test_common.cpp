@@ -312,13 +312,31 @@ TEST(ThreadPool, ParallelSumMatchesSerial) {
 }
 
 TEST(ThreadPool, DefaultJobsHonorsFtdlJobsEnv) {
-  EXPECT_GE(default_jobs(), 1);
+  // Only the returned value is checked: no pool is created here.
+  ::unsetenv("FTDL_JOBS");
+  const int fallback = default_jobs();  // hardware threads, clamped
+  EXPECT_GE(fallback, 1);
+  EXPECT_LE(fallback, kMaxDefaultJobs);
   ::setenv("FTDL_JOBS", "5", 1);
   EXPECT_EQ(default_jobs(), 5);
-  ::setenv("FTDL_JOBS", "not-a-number", 1);
-  EXPECT_GE(default_jobs(), 1);  // unparseable values fall back
+  ::setenv("FTDL_JOBS", "1", 1);
+  EXPECT_EQ(default_jobs(), 1);
+  // Garbage, trailing text, non-positive and int64-overflowing values fall
+  // back to the hardware count instead of being half-read.
+  for (const char* bad : {"not-a-number", "5x", "0", "-3", "", " ", "2.5",
+                          "99999999999999999999"}) {
+    ::setenv("FTDL_JOBS", bad, 1);
+    EXPECT_EQ(default_jobs(), fallback) << '"' << bad << '"';
+  }
+  // Values past the ceiling are clamped to it.
+  for (const char* huge : {"257", "100000", "99999999999"}) {
+    ::setenv("FTDL_JOBS", huge, 1);
+    EXPECT_EQ(default_jobs(), kMaxDefaultJobs) << huge;
+  }
+  ::setenv("FTDL_JOBS", "256", 1);
+  EXPECT_EQ(default_jobs(), 256);
   ::unsetenv("FTDL_JOBS");
-  EXPECT_GE(default_jobs(), 1);
+  EXPECT_EQ(default_jobs(), fallback);
 }
 
 // ---- TensorArena ----------------------------------------------------------

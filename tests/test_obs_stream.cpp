@@ -492,6 +492,61 @@ TEST_F(ObsStreamTest, TransactionsReconstructFromServeShapedSpans) {
   EXPECT_FALSE(rej.has_execute);
 }
 
+// Batch args are parsed strictly: a `batch` or `size` that is not wholly an
+// in-range integer leaves its field at the unknown default (0) — an
+// oversized size no longer wraps, and "abc" no longer reads as 0 by luck.
+TEST(ObsTransactions, MalformedBatchArgsStayUnknown) {
+  struct Case {
+    const char* batch;
+    const char* size;
+    std::uint64_t want_batch;
+    int want_size;
+  };
+  const Case cases[] = {
+      {"7", "3", 7, 3},
+      {"5", "2147483647", 5, 2147483647},
+      {"abc", "4294967297", 0, 0},  // 2^32 + 1 used to wrap to 1
+      {"12x", "-2", 0, 0},
+      {"99999999999999999999", "2147483648", 0, 0},
+      {"", "0", 0, 0},
+      {"-1", "4 ", 0, 0},
+  };
+  ReconstructedLog log;
+  double ts = 0.0;
+  std::uint32_t tid = 0;
+  for (const Case& c : cases) {
+    // One batch with one execute per worker track, ids 1..N.
+    ++tid;
+    obs::TraceEvent e;
+    e.cat = "serve";
+    e.tid = tid;
+    e.name = "batch";
+    e.ts = ts++;
+    e.args = {{"batch", c.batch}, {"size", c.size}};
+    log.events.push_back(e);
+    e.name = "execute";
+    e.ts = ts++;
+    e.args = {{"request", std::to_string(tid)}};
+    log.events.push_back(e);
+    e.ph = 'E';
+    e.args.clear();
+    e.ts = ts++;
+    log.events.push_back(e);  // closes execute
+    e.ts = ts++;
+    log.events.push_back(e);  // closes batch
+  }
+  const std::vector<Transaction> txns = reconstruct_transactions(log);
+  ASSERT_EQ(txns.size(), std::size(cases));
+  for (std::size_t i = 0; i < txns.size(); ++i) {
+    SCOPED_TRACE(std::string("batch \"") + cases[i].batch + "\" size \"" +
+                 cases[i].size + "\"");
+    EXPECT_EQ(txns[i].request, i + 1);
+    EXPECT_TRUE(txns[i].has_execute);
+    EXPECT_EQ(txns[i].batch, cases[i].want_batch);
+    EXPECT_EQ(txns[i].batch_size, cases[i].want_size);
+  }
+}
+
 TEST_F(ObsStreamTest, HexDumpFormatsOffsetsBytesAndAscii) {
   std::string bytes = "FTDLSTRM";
   bytes.push_back('\x01');

@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <array>
 
+#include "common/math_util.h"
 #include "common/rng.h"
 #include "common/simd.h"
 #include "common/thread_pool.h"
@@ -462,11 +463,11 @@ std::vector<LayoutCase> layout_cases() {
        {{{1, 1, 1, 5, 1, 1}, {4, 1, 1, 1, 1, 1}, {1, 1, 5, 1, 1, 1},
          {1, 1, 1, 1, 1, 1}, {1, 3, 1, 1, 3, 1}, {6, 1, 1, 1, 1, 3}}},
        L::OutChannelInner, PlanKind::AxpyW, true},
-      {"out-inner unfused (X tile on M), pad-clipped",
-       nn::make_conv("lay_mi_unfused", 5, 7, 7, 18, 3, 1, 1),
+      {"out-inner spanned over an X tile on M, fused, pad-clipped",
+       nn::make_conv("lay_mi_span", 5, 7, 7, 18, 3, 1, 1),
        {{{1, 1, 1, 1, 1, 1}, {3, 1, 1, 1, 1, 1}, {1, 1, 7, 1, 1, 1},
          {2, 1, 1, 1, 1, 1}, {1, 5, 1, 7, 3, 3}, {3, 1, 1, 1, 1, 1}}},
-       L::OutChannelInner, PlanKind::AxpyW, false},
+       L::OutChannelInner, PlanKind::AxpyW, true},
       {"in-inner fused, dense (1x1, exact trips)",
        nn::make_conv("lay_ni_dense", 24, 10, 10, 6, 1, 1, 0),
        {{{1, 4, 1, 1, 1, 1}, {1, 1, 1, 1, 1, 1}, {1, 1, 10, 1, 1, 1},
@@ -477,23 +478,24 @@ std::vector<LayoutCase> layout_cases() {
        {{{1, 3, 1, 1, 1, 1}, {1, 1, 1, 1, 1, 1}, {1, 1, 5, 1, 1, 1},
          {1, 1, 1, 5, 1, 1}, {5, 1, 1, 1, 3, 1}, {1, 4, 1, 1, 1, 3}}},
        L::InChannelInner, PlanKind::Dot, true},
-      {"in-inner unfused (L tile on N), pad-clipped",
-       nn::make_conv("lay_ni_unfused", 20, 6, 6, 4, 3, 1, 1),
+      {"in-inner spanned over an L tile on N, fused, pad-clipped",
+       nn::make_conv("lay_ni_span", 20, 6, 6, 4, 3, 1, 1),
        {{{1, 2, 1, 1, 1, 1}, {1, 1, 1, 1, 1, 1}, {1, 1, 6, 1, 1, 1},
          {1, 1, 1, 6, 1, 1}, {4, 2, 1, 1, 3, 3}, {1, 5, 1, 1, 1, 1}}},
-       L::InChannelInner, PlanKind::Dot, false},
+       L::InChannelInner, PlanKind::Dot, true},
       {"native axpy over F, pad-clipped",
        nn::make_conv("lay_native", 4, 8, 8, 3, 3, 1, 1),
        {{{1, 1, 1, 1, 1, 1}, {1, 1, 1, 1, 1, 1}, {1, 1, 8, 1, 1, 1},
          {1, 1, 1, 1, 1, 1}, {3, 4, 1, 1, 3, 3}, {1, 1, 1, 8, 1, 1}}},
        L::Native, PlanKind::Axpy, false},
       // MM tiles: {M, N, P} per level.
-      // One chunk's worth of MACCs: fuses all 3 output groups (under the
+      // One chunk's worth of MACCs: fuses all 4 output groups (under the
       // fine-chunk floor of expect_fine_chunks_match_serial it keeps them
-      // and stays unfused).
+      // and stays unfused). More outputs than inputs, so the 40-column
+      // AxpyW beats the native 28-column Dot over M (P = 1).
       {"MM out-inner fused (fc-shaped), trip-spilled",
-       nn::make_matmul("lay_mm_mi", 40, 28, 1),
-       {{{8, 1, 1}, {1, 3, 1}, {1, 1, 1}, {1, 1, 1}, {5, 1, 1},
+       nn::make_matmul("lay_mm_mi", 27, 38, 1),
+       {{{7, 1, 1}, {1, 4, 1}, {1, 1, 1}, {1, 1, 1}, {4, 1, 1},
          {1, 10, 1}}},
        L::OutChannelInner, PlanKind::AxpyW, true},
       {"MM in-inner fused",
@@ -555,8 +557,159 @@ TEST(SimEngine, LayoutPlansMatchReferenceAndScalar) {
   }
 }
 
+// ---- level-spanning sweeps ---------------------------------------------------
+
+struct SpanCase {
+  nn::Layer layer;
+  Tiles tiles;
+  int target = 0;  ///< the loop the plan must sweep
+};
+
+/// A random layer and mapping for the level-spanning sweep. One loop the
+/// plan search can sweep (conv: M, N, F, or E on a single-column image;
+/// MM: M, N or P) gets X and L tiles > 1 and the largest extent. Half the
+/// time its trip is that extent exactly — so the last block is trip-dense
+/// and an image edge at the layer's end falls inside it — else the extent
+/// overshoots the trip (trip spill at the sweep's far end). Every other
+/// loop gets small X/L/T tiles, one of them an X tile and one an L tile,
+/// so the sweep shares both levels with other loops. Most convs are 3x3
+/// with pad 1: image clipping cuts the sweep's ends when it walks F or E,
+/// and whole sweeps otherwise.
+SpanCase random_span_case(Rng& rng, int idx) {
+  const std::string name = "span_" + std::to_string(idx);
+  SpanCase c;
+  const std::int64_t pick = rng.uniform(0, 6);
+  // The target's tiles first: its trip follows from them.
+  const std::int64_t tx = rng.uniform(2, 3);
+  const std::int64_t tl = rng.uniform(2, 3);
+  const std::int64_t tt = rng.uniform(1, 4);
+  const std::int64_t xlt = tx * tl * tt;
+  const std::int64_t tsp = std::max(ceil_div(13, xlt),
+                                    rng.uniform(1, std::max<std::int64_t>(
+                                                       1, 48 / xlt)));
+  const std::int64_t extent = xlt * tsp;  // >= 13
+  const std::int64_t big =
+      rng.uniform01() < 0.5
+          ? extent
+          : extent - rng.uniform(1, std::min(xlt, extent - 12));
+  auto small = [&] { return static_cast<int>(rng.uniform(2, 6)); };
+  const int bigi = static_cast<int>(big);
+  if (pick == 6) {
+    // One image column: E is unit-stride in input and output (a native
+    // Axpy whose sweep moves the image row).
+    c.layer = nn::make_conv(name, small(), bigi, 1, small(), 3, 1, 1);
+    c.target = 2;
+  } else if (pick == 2) {
+    // F: native Axpy along the image row (stride 1 keeps it unit-stride).
+    const int k = rng.uniform01() < 0.7 ? 3 : 1;
+    c.layer = nn::make_conv(name, small(), small() + 2, bigi, small(), k, 1,
+                            k / 2);
+    c.target = 3;
+  } else if (pick < 2) {
+    // M (output channels innermost) or N (input channels innermost).
+    const int k = rng.uniform01() < 0.7 ? 3 : 1;
+    const int stride = static_cast<int>(rng.uniform(1, 2));
+    const int hw = small() + 2;
+    c.layer = nn::make_conv(name, pick == 1 ? bigi : small(), hw, hw,
+                            pick == 0 ? bigi : small(), k, stride, k / 2);
+    c.target = static_cast<int>(pick);
+  } else {
+    c.layer = nn::make_matmul(name, pick == 3 ? big : small(),
+                              pick == 4 ? big : small(),
+                              pick == 5 ? big : small());
+    c.target = static_cast<int>(pick - 3);
+  }
+  const compiler::Workload w = compiler::Workload::from_layer(c.layer);
+  const int k = w.k();
+  for (auto& level : c.tiles) level.assign(static_cast<std::size_t>(k), 1);
+  const auto at = [](int level) { return static_cast<std::size_t>(level); };
+  const int lx = static_cast<int>(compiler::HwLevel::X);
+  const int ll = static_cast<int>(compiler::HwLevel::L);
+  const int lt = static_cast<int>(compiler::HwLevel::T);
+  // On the single-column image R stays one exact spatial tile: an R spill
+  // would make every block that reaches the image's bottom edge non-dense.
+  const int exact = pick == 6 ? w.loop_index('R') : -1;
+  auto other = [&] {
+    std::int64_t o = 0;
+    do o = rng.uniform(0, k - 1);
+    while (o == c.target || o == exact);
+    return o;
+  };
+  const std::int64_t other_x = other();
+  const std::int64_t other_l = other();
+  const arch::OverlayConfig cfg = arch::paper_config();
+  std::array<std::int64_t, 3> room{cfg.d1, cfg.d2, cfg.d3};  // D1, D2, D3
+  for (int i = 0; i < k; ++i) {
+    const auto iu = static_cast<std::size_t>(i);
+    const bool target = i == c.target;
+    const std::int64_t x =
+        target ? tx
+               : (i == other_x ? 2 : (i == exact ? 1 : rng.uniform(1, 2)));
+    const std::int64_t l =
+        target ? tl
+               : (i == other_l ? 2 : (i == exact ? 1 : rng.uniform(1, 2)));
+    std::int64_t t = target ? tt : (i == exact ? 1 : rng.uniform(1, 2));
+    const std::int64_t sp =
+        target ? tsp : ceil_div(w.loops[iu].trip, x * l * t);
+    // Spatial tile at the D level with the most room left; T takes it when
+    // none fits (the padded extent stays the same).
+    const auto lvl = static_cast<std::size_t>(
+        std::max_element(room.begin(), room.end()) - room.begin());
+    if (room[lvl] >= sp) {
+      room[lvl] /= sp;
+      c.tiles[lvl][iu] = sp;
+    } else {
+      t *= sp;
+    }
+    c.tiles[at(lx)][iu] = x;
+    c.tiles[at(ll)][iu] = l;
+    c.tiles[at(lt)][iu] = t;
+  }
+  return c;
+}
+
+// Level-spanning sweeps: random mappings whose column loop spans X and L
+// digits it shares with other loops, trip-spilled at the sweep's end and
+// pad-clipped — Fast≡Reference (outputs and SimStats) and SIMD≡scalar at
+// jobs 1 and 8 on int16-extreme data, and fine chunks ≡ one serial chunk.
+TEST(SimEngine, LevelSpanningSweepsMatchReferenceAndScalar) {
+  const arch::OverlayConfig cfg = arch::paper_config();
+  int spilled = 0;
+  for (int seed = 0; seed < 48; ++seed) {
+    Rng rng(static_cast<std::uint64_t>(seed) * 7919 + 3);
+    const SpanCase c = random_span_case(rng, seed);
+    const compiler::LayerProgram prog = hand_program(c.layer, c.tiles, cfg);
+    SCOPED_TRACE(c.layer.name + ": " + prog.mapping.to_string(prog.workload));
+    const sim::detail::EngineTables tb = sim::detail::build_tables(prog);
+    ASSERT_EQ(tb.col_loop, c.target);
+    const auto lc = static_cast<std::size_t>(tb.col_loop);
+    EXPECT_EQ(tb.cols, tb.block * tb.sp_stride[lc]);
+    EXPECT_GE(tb.sp_stride[lc], 4 * tb.t_ext[lc]);  // X and L tiles >= 2
+    spilled += tb.sp_ext[lc] * tb.sp_stride[lc] > tb.trip[lc];
+
+    const LayerData data = extreme_data(c.layer, static_cast<std::uint64_t>(seed));
+    sim::SimOptions ref_opt;
+    ref_opt.engine = sim::SimEngine::Reference;
+    sim::SimOptions fast_opt;
+    fast_opt.jobs = 1;
+    const sim::SimResult ref =
+        sim::simulate_layer(prog, cfg, data.weights, data.input, ref_opt);
+    const sim::SimResult fast =
+        sim::simulate_layer(prog, cfg, data.weights, data.input, fast_opt);
+    EXPECT_EQ(fast.output, ref.output);
+    expect_same_stats(fast.stats, ref.stats, "fast vs reference");
+    for (int jobs : {1, 8})  // jobs 8 also runs the fine-chunk check
+      expect_simd_scalar_reference_agree(prog, cfg, data, jobs);
+  }
+  EXPECT_GE(spilled, 12);
+  EXPECT_LE(spilled, 36);
+}
+
 // The plan-quality floor: at paper_config every ResNet50 overlay layer gets
-// a vector plan — none falls back to the scalar legacy kernels.
+// a vector plan — none falls back to the scalar legacy kernels — and no
+// sweep is shorter than the longest T tile of a unit-coefficient loop of
+// its layout; spanning the X/L levels lengthens res3_*/conv3_1x1 (an 8-wide
+// M tile under a 13-wide X tile) to at least 104 columns.
 TEST(SimEngine, EveryResNet50LayerGetsAVectorPlan) {
   const arch::OverlayConfig cfg = arch::paper_config();
   const nn::Network& net = nn::model_by_name("ResNet50");
@@ -567,6 +720,21 @@ TEST(SimEngine, EveryResNet50LayerGetsAVectorPlan) {
     EXPECT_NE(tb.plan_kind, PlanKind::None)
         << layer.name << ": " << prog.mapping.to_string(prog.workload);
     EXPECT_GE(tb.cols, 2) << layer.name;
+    std::int64_t t_sweep = 0;
+    for (int i = 0; i < tb.k; ++i) {
+      const auto iu = static_cast<std::size_t>(i);
+      const std::array<std::int64_t, 3> c{tb.c_in[iu], tb.c_w[iu],
+                                          tb.c_out[iu]};
+      const bool unit = c == std::array<std::int64_t, 3>{1, 1, 0} ||
+                        c == std::array<std::int64_t, 3>{1, 0, 1} ||
+                        c == std::array<std::int64_t, 3>{0, 1, 1};
+      if (unit) t_sweep = std::max(t_sweep, tb.t_ext[iu]);
+    }
+    EXPECT_GE(tb.cols, t_sweep) << layer.name;
+    if (layer.name.rfind("res3_", 0) == 0 &&
+        layer.name.find("/conv3_1x1") != std::string::npos) {
+      EXPECT_GE(tb.cols, 104) << layer.name;
+    }
   }
 }
 

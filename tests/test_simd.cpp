@@ -4,8 +4,10 @@
 // instructions. Widths sweep 0..2*lanes+3 so every tail length of the
 // widest implementation (16 int16 lanes on AVX2) is hit on both sides of
 // the kInlineCutoff inline/dispatch boundary.
+#include <atomic>
 #include <cstdint>
 #include <random>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -21,6 +23,47 @@ std::vector<std::int16_t> random_i16(std::int64_t n, std::uint64_t seed) {
   std::vector<std::int16_t> v(static_cast<std::size_t>(n));
   for (auto& x : v) x = static_cast<std::int16_t>(dist(rng));
   return v;
+}
+
+// The dispatch resolves lazily on the first kernel call, which the sim
+// engine makes from several pool workers at once. Defined first, so a
+// whole-binary run starts here too; run alone (ctest runs one test per
+// process) its calls are the process's first use. The TSan leg flags a
+// racy resolution.
+TEST(Simd, ConcurrentFirstUseIsRaceFree) {
+  constexpr std::int64_t n = 40;
+  const auto w = random_i16(n, 5);
+  const auto in = random_i16(n, 6);
+  const acc_t want = dot_i16_scalar(w.data(), in.data(), n);
+  std::vector<acc_t> want_axpy(static_cast<std::size_t>(n), 0);
+  axpy_i16_scalar(want_axpy.data(), in.data(), w[0], n);
+
+  constexpr int kThreads = 8;
+  std::atomic<bool> go{false};
+  std::vector<acc_t> dots(kThreads, 0);
+  std::vector<std::vector<acc_t>> axpys(
+      kThreads, std::vector<acc_t>(static_cast<std::size_t>(n), 0));
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      while (!go.load()) {
+      }
+      const auto tu = static_cast<std::size_t>(t);
+      if (t % 2 == 0) {
+        dots[tu] = dot_i16(w.data(), in.data(), n);
+        axpy_i16(axpys[tu].data(), in.data(), w[0], n);
+      } else {
+        axpy_i16(axpys[tu].data(), in.data(), w[0], n);
+        dots[tu] = dot_i16(w.data(), in.data(), n);
+      }
+    });
+  }
+  go.store(true);
+  for (std::thread& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(dots[static_cast<std::size_t>(t)], want) << "thread " << t;
+    EXPECT_EQ(axpys[static_cast<std::size_t>(t)], want_axpy) << "thread " << t;
+  }
 }
 
 TEST(Simd, IsaReportIsConsistent) {
