@@ -94,7 +94,7 @@ void BM_SimulateConvLayer(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulateConvLayer);
 
-// The SIMD tentpole's before/after pair: the same dense-burst-heavy conv
+// The SIMD before/after pair: one fc layer, every block of which is dense,
 // simulated with the vector dispatch forced off (scalar oracles) and on.
 // The ratio of the two MACC rates is the kernel-level speedup; the
 // BENCH_sim sweep reports the end-to-end layer numbers.

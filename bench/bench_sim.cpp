@@ -7,7 +7,7 @@
 // search budget of the zoo-resnet50 benchmark workload (2000), so each
 // layer's vector plan (and its operand layout) shows up as its own row.
 // Reference and stats-only rows cover the four shapes that stress
-// different engine paths: the pad-heavy 7x7 stride-2 stem (guarded edge
+// different engine paths: the pad-heavy 7x7 stride-2 stem (clipped edge
 // blocks), a 1x1 bottleneck reduce (pure dense interior), a 3x3 mid-stage
 // conv (mixed), and the fc1000 matmul. Outputs are bit-identical across every variant
 // (pinned by tests/test_sim_engine.cpp); these benchmarks measure only

@@ -1,5 +1,6 @@
 #include "common/str_util.h"
 
+#include <cctype>
 #include <cerrno>
 #include <cmath>
 #include <cstdarg>
@@ -49,7 +50,10 @@ std::string format_percent(double ratio, int decimals) {
 
 bool parse_int_strict(const char* s, std::int64_t min_v, std::int64_t max_v,
                       std::int64_t* out) {
-  if (s == nullptr || *s == '\0') return false;
+  // strtoll skips leading whitespace; the whole string must be the number.
+  if (s == nullptr || *s == '\0' ||
+      std::isspace(static_cast<unsigned char>(*s)))
+    return false;
   char* end = nullptr;
   errno = 0;
   const long long v = std::strtoll(s, &end, 10);
@@ -60,7 +64,9 @@ bool parse_int_strict(const char* s, std::int64_t min_v, std::int64_t max_v,
 }
 
 bool parse_double_strict(const char* s, double* out) {
-  if (s == nullptr || *s == '\0') return false;
+  if (s == nullptr || *s == '\0' ||
+      std::isspace(static_cast<unsigned char>(*s)))
+    return false;
   char* end = nullptr;
   errno = 0;
   const double v = std::strtod(s, &end);

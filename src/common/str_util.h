@@ -26,14 +26,17 @@ std::string format_percent(double ratio, int decimals = 1);
 std::string join_x(const std::vector<std::int64_t>& v);
 
 /// Strict base-10 integer parsing for CLI flags: the whole string must be a
-/// number in [min_v, max_v] — garbage, trailing text, empty input and
-/// overflow all return false (std::atoi silently returns 0 for all four).
+/// number in [min_v, max_v] — garbage, leading or trailing text
+/// (whitespace included), empty input and overflow all return false
+/// (std::atoi silently returns 0 for most of them, and skips leading
+/// whitespace).
 /// `*out` is written only on success.
 bool parse_int_strict(const char* s, std::int64_t min_v, std::int64_t max_v,
                       std::int64_t* out);
 
 /// Strict decimal parsing for CLI flags: the whole string must be a finite
-/// number. `*out` is written only on success.
+/// number, with no leading or trailing whitespace. `*out` is written only
+/// on success.
 bool parse_double_strict(const char* s, double* out);
 
 }  // namespace ftdl

@@ -550,7 +550,7 @@ void run_reference(const compiler::LayerProgram& program, const Shape& shape,
   }
 }
 
-/// Fast-engine functional pass: precomputed tables + dense/guarded kernels,
+/// Fast-engine functional pass: precomputed tables + the vector-plan kernel,
 /// fanned across the resolved worker pool (SimOptions::jobs). Re-lays the
 /// operands into the layout the tables chose and the output back.
 void run_engine(const compiler::LayerProgram& program, const Shape& shape,

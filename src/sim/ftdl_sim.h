@@ -31,10 +31,10 @@ namespace ftdl::sim {
 
 /// Functional-simulation implementation (docs/simulator.md).
 enum class SimEngine {
-  /// Tiled engine: per-layer index/offset precomputation, dense
-  /// auto-vectorizable MACC kernels on interior bursts, guarded table-driven
-  /// loop on edge bursts, ThreadPool fan-out over output-disjoint spatial
-  /// chunks. Bit-identical to Reference at any jobs count (pinned by
+  /// Tiled engine: per-layer index/offset precomputation, one vector-plan
+  /// kernel feeding contiguous sweeps to the SIMD dot/axpy kernels
+  /// (branch-free on interior blocks, clipped on edge ones), ThreadPool
+  /// fan-out over output-disjoint spatial chunks. Bit-identical to Reference at any jobs count (pinned by
   /// tests/test_sim_engine.cpp). The default.
   Fast,
   /// The original scalar interpreter: per-MACC odometer arithmetic and

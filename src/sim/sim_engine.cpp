@@ -8,9 +8,8 @@
 #include "common/math_util.h"
 #include "common/simd.h"
 
-// The dense kernel reads four precomputed int64 offset arrays and writes
-// int64 accumulators; telling the compiler the tables never alias the
-// output is what lets it drop the reload-per-iteration and vectorize.
+// The plan kernel's int16 operands are read-only and never alias the int64
+// accumulators it writes; the restrict qualifiers tell the compiler so.
 #if defined(__GNUC__) || defined(__clang__)
 #define FTDL_RESTRICT __restrict__
 #else
@@ -261,7 +260,9 @@ EngineTables build_tables(const compiler::LayerProgram& program,
   // that keeps at least as many groups as the layer can use as chunks:
   // kMinFusedGroups, fewer when the layer has fewer groups or too few
   // MACCs for that many chunks (a single-chunk layer fuses fully). Native
-  // is scored first and a re-laid candidate must be strictly longer.
+  // is scored first and a re-laid candidate must be strictly longer. Every
+  // layer has a plan: native S is a Dot for every conv and depthwise layer
+  // and native P an Axpy for every MM, so a sweep may be a single column.
   std::int64_t out_groups = 1;  // groups with every output digit keyed
   {
     const LayoutCoeffs native = layout_coeffs(w, layer, OperandLayout::Native);
@@ -290,7 +291,6 @@ EngineTables build_tables(const compiler::LayerProgram& program,
         while (tb.sp_ext[iu] % nb != 0);
       }
       const std::int64_t cols = nb * tb.sp_stride[iu];
-      if (cols < 2) continue;  // nothing to sweep; legacy kernels are fine
       if (tb.plan_kind == EngineTables::PlanKind::None || cols > tb.cols) {
         tb.layout = layout;
         tb.plan_kind = kind;
@@ -300,6 +300,7 @@ EngineTables build_tables(const compiler::LayerProgram& program,
       }
     }
   }
+  FTDL_ASSERT(tb.plan_kind != EngineTables::PlanKind::None);
 
   // ---- tensor-offset coefficients of the chosen layout -----------------
   const LayoutCoeffs coeffs = layout_coeffs(w, layer, tb.layout);
@@ -335,25 +336,6 @@ EngineTables build_tables(const compiler::LayerProgram& program,
     tb.pairs.push_back({w.loop_index('F'), w.loop_index('S'), layer.in_w});
   }
 
-  // T-level run structure: the fastest-varying non-trivial T loop (the last
-  // one with a tile > 1; the odometer advances trailing loops fastest).
-  tb.t_run_loop = k - 1;
-  tb.t_run_len = 1;
-  for (int i = k; i-- > 0;) {
-    if (tb.t_ext[static_cast<std::size_t>(i)] > 1) {
-      tb.t_run_loop = i;
-      tb.t_run_len = tb.t_ext[static_cast<std::size_t>(i)];
-      break;
-    }
-  }
-  const auto jf = static_cast<std::size_t>(tb.t_run_loop);
-  tb.din = cin[jf];
-  tb.dw = cw[jf];
-  tb.dout = cout[jf];
-  if (tb.conv) {
-    tb.dry = cry[jf];
-    tb.dcx = ccx[jf];
-  }
   tb.c_in = cin;
   tb.c_w = cw;
   tb.c_out = cout;
@@ -376,7 +358,7 @@ EngineTables build_tables(const compiler::LayerProgram& program,
   // sort key extends the group key to a total mixed radix with the low
   // part of ℓc's digit innermost, so fused spatial states land adjacent
   // and in sweep order.
-  const bool fused = tb.col_loop >= 0 && tb.block > 1;
+  const bool fused = tb.block > 1;
   // Appends (spatial digit of loop i / div) as a mixed-radix digit of
   // radix `ext` to every state's key.
   auto push_digit = [&](std::vector<std::int64_t>& acc, int i,
@@ -471,104 +453,90 @@ EngineTables build_tables(const compiler::LayerProgram& program,
   }
 
   // ---- vector-plan verification and completion -------------------------
-  if (tb.plan_kind != EngineTables::PlanKind::None) {
-    const auto lcu = static_cast<std::size_t>(tb.col_loop);
-    if (tb.block > 1) {
-      // Verify the fused layout the innermost-ℓc sort was meant to produce:
-      // every aligned block holds a single group-key value, constant digits
-      // on every other loop, and ℓc's weighted digit sweeping base,
-      // base + stride, base + 2*stride, ... — exactly the precondition for
-      // gidx_ℓc advancing by 1 per column across the whole fused sweep.
-      bool ok = tb.S % tb.block == 0;
-      const std::int64_t* lcd = tb.spd.data() + lcu * static_cast<std::size_t>(tb.S);
-      for (std::int64_t s0 = 0; ok && s0 < tb.S; s0 += tb.block) {
-        for (std::int64_t j = 0; ok && j < tb.block; ++j) {
-          const auto s = static_cast<std::size_t>(s0 + j);
-          ok &= key[static_cast<std::size_t>(perm[s])] ==
-                key[static_cast<std::size_t>(
-                    perm[static_cast<std::size_t>(s0)])];
-          ok &= lcd[s0 + j] == lcd[s0] + j * tb.sp_stride[lcu];
-          for (int i = 0; ok && i < k; ++i) {
-            if (i == tb.col_loop) continue;
-            const std::int64_t* src =
-                tb.spd.data() +
-                static_cast<std::size_t>(i) * static_cast<std::size_t>(tb.S);
-            ok &= src[s0 + j] == src[s0];
-          }
+  const auto lcu = static_cast<std::size_t>(tb.col_loop);
+  if (tb.block > 1) {
+    // Verify the fused layout the innermost-ℓc sort was meant to produce:
+    // every aligned block holds a single group-key value, constant digits
+    // on every other loop, and ℓc's weighted digit sweeping base,
+    // base + stride, base + 2*stride, ... — exactly the precondition for
+    // gidx_ℓc advancing by 1 per column across the whole fused sweep.
+    bool ok = tb.S % tb.block == 0;
+    const std::int64_t* lcd = tb.spd.data() + lcu * static_cast<std::size_t>(tb.S);
+    for (std::int64_t s0 = 0; ok && s0 < tb.S; s0 += tb.block) {
+      for (std::int64_t j = 0; ok && j < tb.block; ++j) {
+        const auto s = static_cast<std::size_t>(s0 + j);
+        ok &= key[static_cast<std::size_t>(perm[s])] ==
+              key[static_cast<std::size_t>(
+                  perm[static_cast<std::size_t>(s0)])];
+        ok &= lcd[s0 + j] == lcd[s0] + j * tb.sp_stride[lcu];
+        for (int i = 0; ok && i < k; ++i) {
+          if (i == tb.col_loop) continue;
+          const std::int64_t* src =
+              tb.spd.data() +
+              static_cast<std::size_t>(i) * static_cast<std::size_t>(tb.S);
+          ok &= src[s0 + j] == src[s0];
         }
       }
-      if (!ok) {
-        tb.block = 1;
-        tb.cols = tb.sp_stride[lcu];
-      }
     }
-    if (tb.cols < 2) {
-      // Nothing left to sweep; the legacy kernels handle any permutation.
-      tb.plan_kind = EngineTables::PlanKind::None;
-      tb.col_loop = -1;
+    if (!ok) {
       tb.block = 1;
-      tb.cols = 1;
+      tb.cols = tb.sp_stride[lcu];
     }
   }
-  if (tb.plan_kind != EngineTables::PlanKind::None) {
-    const auto lcu = static_cast<std::size_t>(tb.col_loop);
-    // Row loop: the largest remaining T tile, hoisted above the sweep with
-    // constant per-row offset deltas.
-    for (int i = 0; i < k; ++i) {
-      const auto iu = static_cast<std::size_t>(i);
-      if (i == tb.col_loop || tb.t_ext[iu] <= 1) continue;
-      if (tb.row_loop < 0 || tb.t_ext[iu] > tb.rows) {
-        tb.row_loop = i;
-        tb.rows = tb.t_ext[iu];
-      }
+  // Row loop: the largest remaining T tile, hoisted above the sweep with
+  // constant per-row offset deltas.
+  for (int i = 0; i < k; ++i) {
+    const auto iu = static_cast<std::size_t>(i);
+    if (i == tb.col_loop || tb.t_ext[iu] <= 1) continue;
+    if (tb.row_loop < 0 || tb.t_ext[iu] > tb.rows) {
+      tb.row_loop = i;
+      tb.rows = tb.t_ext[iu];
     }
-    if (tb.row_loop >= 0) {
-      const auto lru = static_cast<std::size_t>(tb.row_loop);
-      tb.row_din = cin[lru];
-      tb.row_dw = cw[lru];
-      tb.row_dout = cout[lru];
-      if (tb.conv) {
-        tb.row_dry = cry[lru];
-        tb.row_dcx = ccx[lru];
-      }
-    }
-    tb.col_din = cin[lcu];
-    tb.col_dw = cw[lcu];
-    tb.col_dout = cout[lcu];
+  }
+  if (tb.row_loop >= 0) {
+    const auto lru = static_cast<std::size_t>(tb.row_loop);
+    tb.row_din = cin[lru];
+    tb.row_dw = cw[lru];
+    tb.row_dout = cout[lru];
     if (tb.conv) {
-      tb.col_dry = cry[lcu];
-      tb.col_dcx = ccx[lcu];
+      tb.row_dry = cry[lru];
+      tb.row_dcx = ccx[lru];
     }
-    // T states with the ℓc/ℓr digits zero: (t0, row, col) then enumerates
-    // every (spatial-in-block, X/L digits of ℓc, t) iteration exactly once.
-    for (std::int64_t t = 0; t < tb.T; ++t) {
-      if (tb.td[lcu * static_cast<std::size_t>(tb.T) +
-                static_cast<std::size_t>(t)] != 0)
-        continue;
-      if (tb.row_loop >= 0 &&
-          tb.td[static_cast<std::size_t>(tb.row_loop) *
-                    static_cast<std::size_t>(tb.T) +
-                static_cast<std::size_t>(t)] != 0)
-        continue;
-      tb.plan_t0.push_back(t);
-    }
-    // Dense-block bounds: the sweep covers cols gidx steps of ℓc and the T
-    // tile of every other loop; image coordinates grow with every index.
-    tb.sweep_ext = tb.t_ext;
-    tb.sweep_ext[lcu] = tb.cols;
-    if (tb.conv) {
-      tb.ry_sweep_max = tb.ry_t_max + tb.col_dry * (tb.cols - tb.t_ext[lcu]);
-      tb.cx_sweep_max = tb.cx_t_max + tb.col_dcx * (tb.cols - tb.t_ext[lcu]);
-    }
+  }
+  tb.col_din = cin[lcu];
+  tb.col_dw = cw[lcu];
+  tb.col_dout = cout[lcu];
+  if (tb.conv) {
+    tb.col_dry = cry[lcu];
+    tb.col_dcx = ccx[lcu];
+  }
+  // T states with the ℓc/ℓr digits zero: (t0, row, col) then enumerates
+  // every (spatial-in-block, X/L digits of ℓc, t) iteration exactly once.
+  for (std::int64_t t = 0; t < tb.T; ++t) {
+    if (tb.td[lcu * static_cast<std::size_t>(tb.T) +
+              static_cast<std::size_t>(t)] != 0)
+      continue;
+    if (tb.row_loop >= 0 &&
+        tb.td[static_cast<std::size_t>(tb.row_loop) *
+                  static_cast<std::size_t>(tb.T) +
+              static_cast<std::size_t>(t)] != 0)
+      continue;
+    tb.plan_t0.push_back(t);
+  }
+  // Dense-block bounds: the sweep covers cols gidx steps of ℓc and the T
+  // tile of every other loop; image coordinates grow with every index.
+  tb.sweep_ext = tb.t_ext;
+  tb.sweep_ext[lcu] = tb.cols;
+  if (tb.conv) {
+    tb.ry_sweep_max = tb.ry_t_max + tb.col_dry * (tb.cols - tb.t_ext[lcu]);
+    tb.cx_sweep_max = tb.cx_t_max + tb.col_dcx * (tb.cols - tb.t_ext[lcu]);
   }
   // X/L states of the burst loop: ℓc's X and L digits run inside the sweep.
   auto burst_states = [&](const std::vector<std::int64_t>& dig,
                           std::int64_t states) {
     std::vector<std::int64_t> out;
     for (std::int64_t s = 0; s < states; ++s) {
-      if (tb.col_loop < 0 ||
-          dig[static_cast<std::size_t>(tb.col_loop) *
-                  static_cast<std::size_t>(states) +
+      if (dig[lcu * static_cast<std::size_t>(states) +
               static_cast<std::size_t>(s)] == 0)
         out.push_back(s);
     }
@@ -597,33 +565,15 @@ EngineTables build_tables(const compiler::LayerProgram& program,
     EngineTables::Chunk ch;
     ch.begin = group_start[static_cast<std::size_t>(g0)];
     ch.end = g1 < n_groups ? group_start[static_cast<std::size_t>(g1)] : tb.S;
-    ch.sp_max.assign(static_cast<std::size_t>(k), 0);
-    for (int i = 0; i < k; ++i) {
-      const std::int64_t* src =
-          tb.spd.data() + static_cast<std::size_t>(i) * static_cast<std::size_t>(tb.S);
-      std::int64_t mx = 0;
-      for (std::int64_t s = ch.begin; s < ch.end; ++s) mx = std::max(mx, src[s]);
-      ch.sp_max[static_cast<std::size_t>(i)] = mx;
-    }
-    if (tb.conv) {
-      ch.ry_sp_min = *std::min_element(tb.ry_sp.begin() + ch.begin,
-                                       tb.ry_sp.begin() + ch.end);
-      ch.ry_sp_max = *std::max_element(tb.ry_sp.begin() + ch.begin,
-                                       tb.ry_sp.begin() + ch.end);
-      ch.cx_sp_min = *std::min_element(tb.cx_sp.begin() + ch.begin,
-                                       tb.cx_sp.begin() + ch.end);
-      ch.cx_sp_max = *std::max_element(tb.cx_sp.begin() + ch.begin,
-                                       tb.cx_sp.begin() + ch.end);
-    }
-    tb.chunks.push_back(std::move(ch));
+    tb.chunks.push_back(ch);
   }
   return tb;
 }
 
 namespace {
 
-/// Per-(x, l) burst state shared by the dense check, the kernels and the
-/// stats-only counter.
+/// Per-(x, l) burst state shared by the plan kernel and the stats-only
+/// counter.
 struct BurstBases {
   std::array<std::int64_t, kMaxLoops> base{};  ///< per-loop (x, l) offset
   std::int64_t in_b = 0, w_b = 0, out_b = 0;
@@ -648,150 +598,6 @@ BurstBases burst_bases(const EngineTables& tb, std::int64_t x, std::int64_t l) {
              tb.cx_l[static_cast<std::size_t>(l)];
   }
   return b;
-}
-
-/// True when every (spatial in [begin,end), t) iteration of the burst is
-/// in-trip and (conv) inside the input image — the dense interior case.
-bool burst_is_dense(const EngineTables& tb, const BurstBases& b,
-                    const std::int64_t* sp_max, std::int64_t ry_sp_min,
-                    std::int64_t ry_sp_max, std::int64_t cx_sp_min,
-                    std::int64_t cx_sp_max) {
-  for (int i = 0; i < tb.k; ++i) {
-    const auto iu = static_cast<std::size_t>(i);
-    if (b.base[iu] + sp_max[iu] + tb.t_ext[iu] - 1 >= tb.trip[iu]) return false;
-  }
-  if (tb.conv) {
-    if (b.ry_b + ry_sp_min < 0) return false;
-    if (b.ry_b + ry_sp_max + tb.ry_t_max >= tb.in_h) return false;
-    if (b.cx_b + cx_sp_min < 0) return false;
-    if (b.cx_b + cx_sp_max + tb.cx_t_max >= tb.in_w) return false;
-  }
-  return true;
-}
-
-/// Innermost strided MACC over one T-run slice [jlo, jhi): the only
-/// per-MACC work is two strided loads and one widening multiply-add. When
-/// the run loop is a reduction loop (dout == 0) the whole slice folds into
-/// one accumulator — the vectorizable dot-product shape.
-inline void run_slice(const std::int16_t* FTDL_RESTRICT weights,
-                      const std::int16_t* FTDL_RESTRICT input, acc_t* out,
-                      std::int64_t i0, std::int64_t w0, std::int64_t o0,
-                      std::int64_t din, std::int64_t dw, std::int64_t dout,
-                      std::int64_t jlo, std::int64_t jhi) {
-  if (dout == 0) {
-    acc_t acc = 0;
-    for (std::int64_t j = jlo; j < jhi; ++j)
-      acc += static_cast<acc_t>(weights[w0 + j * dw]) *
-             static_cast<acc_t>(input[i0 + j * din]);
-    out[o0] += acc;
-  } else {
-    for (std::int64_t j = jlo; j < jhi; ++j)
-      out[o0 + j * dout] += static_cast<acc_t>(weights[w0 + j * dw]) *
-                            static_cast<acc_t>(input[i0 + j * din]);
-  }
-}
-
-/// Branch-free interior kernel over [begin, end) x [0, T): per spatial
-/// state, walk the T-runs with constant per-j offset deltas — no validity
-/// work at all.
-void dense_burst(const EngineTables& tb, const BurstBases& b,
-                 std::int64_t begin, std::int64_t end,
-                 const std::int16_t* FTDL_RESTRICT weights,
-                 const std::int16_t* FTDL_RESTRICT input, acc_t* out) {
-  const std::int64_t* FTDL_RESTRICT in_sp = tb.in_sp.data();
-  const std::int64_t* FTDL_RESTRICT w_sp = tb.w_sp.data();
-  const std::int64_t* FTDL_RESTRICT out_sp = tb.out_sp.data();
-  const std::int64_t* FTDL_RESTRICT in_t = tb.in_t.data();
-  const std::int64_t* FTDL_RESTRICT w_t = tb.w_t.data();
-  const std::int64_t* FTDL_RESTRICT out_t = tb.out_t.data();
-  const std::int64_t len = tb.t_run_len;
-  const std::int64_t n_runs = tb.T / len;
-  const std::int64_t din = tb.din, dw = tb.dw, dout = tb.dout;
-  for (std::int64_t s = begin; s < end; ++s) {
-    const std::int64_t in_s = b.in_b + in_sp[s];
-    const std::int64_t w_s = b.w_b + w_sp[s];
-    const std::int64_t out_s = b.out_b + out_sp[s];
-    for (std::int64_t r = 0; r < n_runs; ++r) {
-      const std::int64_t t0 = r * len;
-      run_slice(weights, input, out, in_s + in_t[t0], w_s + w_t[t0],
-                out_s + out_t[t0], din, dw, dout, 0, len);
-    }
-  }
-}
-
-/// Guarded edge kernel: clips each T-run to its valid [jlo, jhi) slice by
-/// interval arithmetic (trip spill per loop, pad clipping per image axis)
-/// and feeds the same strided inner loop — validity costs O(k) per run, not
-/// per MACC. Returns the number of valid MACCs executed.
-std::int64_t guarded_burst(const EngineTables& tb, const BurstBases& b,
-                           std::int64_t begin, std::int64_t end,
-                           const std::int16_t* weights,
-                           const std::int16_t* input, acc_t* out) {
-  const int k = tb.k;
-  const std::int64_t S = tb.S;
-  const std::int64_t len = tb.t_run_len;
-  const std::int64_t n_runs = tb.T / len;
-  const auto jf = static_cast<std::size_t>(tb.t_run_loop);
-  std::int64_t valid = 0;
-  std::array<std::int64_t, kMaxLoops> slack{};
-  for (std::int64_t s = begin; s < end; ++s) {
-    // Per-loop digit headroom at this spatial state: a t digit d_i is
-    // in-trip iff d_i < slack_i.
-    bool dead = false;
-    for (int i = 0; i < k; ++i) {
-      const auto iu = static_cast<std::size_t>(i);
-      slack[iu] =
-          tb.trip[iu] - b.base[iu] -
-          tb.spd[iu * static_cast<std::size_t>(S) + static_cast<std::size_t>(s)];
-      dead |= slack[iu] <= 0;
-    }
-    if (dead) continue;  // digit 0 already spills: no valid t at all
-    const std::int64_t in_s = b.in_b + tb.in_sp[static_cast<std::size_t>(s)];
-    const std::int64_t w_s = b.w_b + tb.w_sp[static_cast<std::size_t>(s)];
-    const std::int64_t out_s = b.out_b + tb.out_sp[static_cast<std::size_t>(s)];
-    const std::int64_t ry_s =
-        tb.conv ? b.ry_b + tb.ry_sp[static_cast<std::size_t>(s)] : 0;
-    const std::int64_t cx_s =
-        tb.conv ? b.cx_b + tb.cx_sp[static_cast<std::size_t>(s)] : 0;
-    for (std::int64_t r = 0; r < n_runs; ++r) {
-      const auto t0 = static_cast<std::size_t>(r * len);
-      // Constant digits of this run (the run loop's own digit is 0 at t0;
-      // its sweep is covered by the jhi clip below).
-      bool ok = true;
-      for (int i = 0; i < k; ++i) {
-        const auto iu = static_cast<std::size_t>(i);
-        ok &= tb.td[iu * static_cast<std::size_t>(tb.T) + t0] < slack[iu];
-      }
-      if (!ok) continue;
-      std::int64_t jlo = 0;
-      std::int64_t jhi = std::min(len, slack[jf]);
-      if (tb.conv) {
-        // Image clipping: at most one of ry/cx varies inside a run (the run
-        // loop is a single workload loop), the other is constant. The
-        // varying one advances by dry/dcx > 0 per j, so each bound is one
-        // integer-division clip.
-        const std::int64_t ry0 = ry_s + tb.ry_t[t0];
-        if (tb.dry == 0) {
-          if (ry0 < 0 || ry0 >= tb.in_h) continue;
-        } else {
-          if (ry0 < 0) jlo = std::max(jlo, ceil_div(-ry0, tb.dry));
-          jhi = std::min(jhi, ceil_div(tb.in_h - ry0, tb.dry));
-        }
-        const std::int64_t cx0 = cx_s + tb.cx_t[t0];
-        if (tb.dcx == 0) {
-          if (cx0 < 0 || cx0 >= tb.in_w) continue;
-        } else {
-          if (cx0 < 0) jlo = std::max(jlo, ceil_div(-cx0, tb.dcx));
-          jhi = std::min(jhi, ceil_div(tb.in_w - cx0, tb.dcx));
-        }
-      }
-      if (jhi <= jlo) continue;
-      run_slice(weights, input, out, in_s + tb.in_t[t0], w_s + tb.w_t[t0],
-                out_s + tb.out_t[t0], tb.din, tb.dw, tb.dout, jlo, jhi);
-      valid += jhi - jlo;
-    }
-  }
-  return valid;
 }
 
 /// One contiguous sweep of n MACCs under plan kind K (header docs): the
@@ -937,46 +743,33 @@ std::int64_t burst_plan(const EngineTables& tb, const BurstBases& b,
   return valid;
 }
 
+/// Every burst (x, l) tile of one chunk under plan kind K.
+template <EngineTables::PlanKind K>
+std::int64_t chunk_plan(const EngineTables& tb, const EngineTables::Chunk& c,
+                        const std::int16_t* weights, const std::int16_t* input,
+                        acc_t* out) {
+  std::int64_t v = 0;
+  for (const std::int64_t x : tb.burst_x)
+    for (const std::int64_t l : tb.burst_l)
+      v += burst_plan<K>(tb, burst_bases(tb, x, l), c.begin, c.end, weights,
+                         input, out);
+  return v;
+}
+
 }  // namespace
 
 std::int64_t run_functional(const EngineTables& tb, const std::int16_t* weights,
                             const std::int16_t* input, acc_t* out,
                             ThreadPool* pool) {
-  const std::size_t n_chunks = tb.chunks.size();
-  auto run_chunk = [&](std::size_t ci) -> std::int64_t {
-    const EngineTables::Chunk& c = tb.chunks[ci];
-    std::int64_t v = 0;
-    for (const std::int64_t x : tb.burst_x) {
-      for (const std::int64_t l : tb.burst_l) {
-        const BurstBases b = burst_bases(tb, x, l);
-        using PK = EngineTables::PlanKind;
-        switch (tb.plan_kind) {
-          case PK::Dot:
-            v += burst_plan<PK::Dot>(tb, b, c.begin, c.end, weights, input,
-                                     out);
-            break;
-          case PK::Axpy:
-            v += burst_plan<PK::Axpy>(tb, b, c.begin, c.end, weights, input,
-                                      out);
-            break;
-          case PK::AxpyW:
-            v += burst_plan<PK::AxpyW>(tb, b, c.begin, c.end, weights, input,
-                                       out);
-            break;
-          case PK::None:
-            if (burst_is_dense(tb, b, c.sp_max.data(), c.ry_sp_min,
-                               c.ry_sp_max, c.cx_sp_min, c.cx_sp_max)) {
-              dense_burst(tb, b, c.begin, c.end, weights, input, out);
-              v += (c.end - c.begin) * tb.T;
-            } else {
-              v += guarded_burst(tb, b, c.begin, c.end, weights, input, out);
-            }
-            break;
-        }
-      }
-    }
-    return v;
+  using PK = EngineTables::PlanKind;
+  FTDL_ASSERT(tb.plan_kind != PK::None);
+  const auto kernel = tb.plan_kind == PK::Dot    ? &chunk_plan<PK::Dot>
+                      : tb.plan_kind == PK::Axpy ? &chunk_plan<PK::Axpy>
+                                                 : &chunk_plan<PK::AxpyW>;
+  auto run_chunk = [&](std::size_t ci) {
+    return kernel(tb, tb.chunks[ci], weights, input, out);
   };
+  const std::size_t n_chunks = tb.chunks.size();
   if (pool != nullptr && pool->jobs() > 1 && n_chunks > 1) {
     std::vector<std::int64_t> valid(n_chunks, 0);
     pool->parallel_for(n_chunks,
@@ -994,27 +787,37 @@ std::int64_t run_functional(const EngineTables& tb, const std::int16_t* weights,
 }
 
 std::int64_t count_valid_maccs(const EngineTables& tb) {
-  const int k = tb.k;
-  // Full-space spatial maxima for the dense shortcut.
-  std::array<std::int64_t, kMaxLoops> sp_max{};
-  for (int i = 0; i < k; ++i) {
-    const auto iu = static_cast<std::size_t>(i);
-    sp_max[iu] = (tb.sp_ext[iu] - 1) * tb.sp_stride[iu];
-  }
-  std::int64_t ry_sp_min = 0, ry_sp_max = 0, cx_sp_min = 0, cx_sp_max = 0;
+  // Full-space image-coordinate ranges of the spatial states, for the
+  // dense shortcut.
+  std::int64_t ry_lo = 0, ry_hi = 0, cx_lo = 0, cx_hi = 0;
   if (tb.conv) {
-    ry_sp_min = *std::min_element(tb.ry_sp.begin(), tb.ry_sp.end());
-    ry_sp_max = *std::max_element(tb.ry_sp.begin(), tb.ry_sp.end());
-    cx_sp_min = *std::min_element(tb.cx_sp.begin(), tb.cx_sp.end());
-    cx_sp_max = *std::max_element(tb.cx_sp.begin(), tb.cx_sp.end());
+    const auto ry = std::minmax_element(tb.ry_sp.begin(), tb.ry_sp.end());
+    const auto cx = std::minmax_element(tb.cx_sp.begin(), tb.cx_sp.end());
+    ry_lo = *ry.first;
+    ry_hi = *ry.second;
+    cx_lo = *cx.first;
+    cx_hi = *cx.second;
   }
+  // True when every (spatial, t) iteration of the burst is in-trip and
+  // (conv) inside the input image.
+  auto burst_is_dense = [&](const BurstBases& b) {
+    for (int i = 0; i < tb.k; ++i) {
+      const auto iu = static_cast<std::size_t>(i);
+      if (b.base[iu] + (tb.sp_ext[iu] - 1) * tb.sp_stride[iu] +
+              tb.t_ext[iu] - 1 >=
+          tb.trip[iu])
+        return false;
+    }
+    return !tb.conv ||
+           (b.ry_b + ry_lo >= 0 && b.ry_b + ry_hi + tb.ry_t_max < tb.in_h &&
+            b.cx_b + cx_lo >= 0 && b.cx_b + cx_hi + tb.cx_t_max < tb.in_w);
+  };
 
   std::int64_t total = 0;
   for (std::int64_t x = 0; x < tb.X; ++x) {
     for (std::int64_t l = 0; l < tb.L; ++l) {
       const BurstBases b = burst_bases(tb, x, l);
-      if (burst_is_dense(tb, b, sp_max.data(), ry_sp_min, ry_sp_max, cx_sp_min,
-                         cx_sp_max)) {
+      if (burst_is_dense(b)) {
         total += tb.S * tb.T;
         continue;
       }

@@ -24,16 +24,16 @@
 //     the engine layout and kept by their runner — never a
 //     reference-layout copy beside them — and per-run scratch (an HWC
 //     input) comes from the installed TensorArena;
-//   * work whose whole (spatial, t) sub-space is in-trip and free of pad
-//     clipping is detected by interval arithmetic on the precomputed
-//     digit ranges and runs through a branch-free dense MACC kernel; edge
-//     work falls back to a guarded (but still table-driven) loop;
-//   * both kernels restructure around a *vector plan* (EngineTables docs
+//   * one kernel runs every layer, under a *vector plan* (EngineTables docs
 //     below): a unit-coefficient column loop — its X, L and T digits, fused
 //     with its spatial digits when possible — turns the inner sweep into
-//     one long contiguous dot/axpy fed to the runtime-dispatched SIMD
-//     kernels of common/simd.h, with the scalar oracles as the exactness
-//     baseline; density is then decided per fused block;
+//     one contiguous dot/axpy fed to the runtime-dispatched SIMD kernels of
+//     common/simd.h, with the scalar oracles as the exactness baseline.
+//     Every layer has such a loop, so a plan always exists; its sweep may
+//     be a single column. Density is decided per fused block by interval
+//     arithmetic on the precomputed digit ranges: a block whose whole
+//     sweep is in-trip and free of pad clipping runs branch-free, the
+//     others clip each sweep;
 //   * the spatial states are regrouped by their output-projection digits
 //     (the loops with a non-zero output-offset coefficient), so each group
 //     writes a disjoint set of output accumulators — the unit of parallel
@@ -86,17 +86,6 @@ struct EngineTables {
   std::vector<std::int64_t> in_l, w_l, out_l;     ///< length L
   std::vector<std::int64_t> in_t, w_t, out_t;     ///< length T
 
-  // T-level run structure: the fastest-varying T-level loop with a tile
-  // > 1 (t_run_loop) sweeps its digit 0..t_run_len-1 across consecutive t,
-  // so every tensor offset advances by a constant delta inside a run —
-  // in_t[r*len + j] = in_t[r*len] + j*din, and likewise dw/dout/dry/dcx.
-  // The kernels iterate (spatial, run, j) with the j loop branch-free.
-  // (Used by the legacy kernels when no vector plan applies.)
-  std::int64_t t_run_len = 1;
-  int t_run_loop = 0;
-  std::int64_t din = 0, dw = 0, dout = 0;
-  std::int64_t dry = 0, dcx = 0;  ///< conv only
-
   // Tensor-offset coefficients per workload loop, in gidx space: one unit
   // step of gidx_k moves the input / weight / output offsets by
   // c_in/c_w/c_out[k] (and the conv image row/col by c_ry/c_cx[k]).
@@ -104,7 +93,7 @@ struct EngineTables {
   std::vector<std::int64_t> c_ry, c_cx;  ///< conv only
 
   // ---- vector plan ------------------------------------------------------
-  // The kernels pick one *column loop* ℓc whose unit coefficients make
+  // The kernel sweeps one *column loop* ℓc whose unit coefficients make
   // consecutive gidx steps contiguous in memory, so a whole sweep feeds one
   // SIMD kernel (common/simd.h):
   //   Dot   (c_in=1, c_w=1, c_out=0): reduction — the sweep folds into a
@@ -117,11 +106,13 @@ struct EngineTables {
   // The search scores every (layout, loop, kind) candidate through one
   // code path, on the coefficient vectors the layout implies, and keeps the
   // longest sweep; a re-laid candidate must be strictly longer than the
-  // best native one. The column sweep spans ℓc's X, L and T digits: inside
-  // one spatial state gidx_ℓc = sp*sp_stride + (x*TL + l)*TT + t is
-  // contiguous, so one sweep covers sp_stride[ℓc] steps and the burst loop
-  // visits only the X/L states whose ℓc digits are zero (burst_x,
-  // burst_l). Consecutive spatial digits continue the same index, so
+  // best native one. Native S is a Dot for every conv and depthwise layer
+  // and native P an Axpy for every MM, so every layer gets a plan, if need
+  // be a 1-column one (X, L and T tiles of ℓc all 1). The column sweep
+  // spans ℓc's X, L and T digits: inside one spatial state
+  // gidx_ℓc = sp*sp_stride + (x*TL + l)*TT + t is contiguous, so one
+  // sweep covers sp_stride[ℓc] steps and the burst loop visits only the
+  // X/L states whose ℓc digits are zero (burst_x, burst_l). Consecutive spatial digits continue the same index, so
   // `block` spatial states fuse into one sweep of `cols` steps. For an
   // output loop the block is the largest divisor of its spatial extent
   // leaving as many groups as the layer can use as chunks —
@@ -129,8 +120,8 @@ struct EngineTables {
   // Chunk) — so a single-chunk layer fuses fully. The group permutation
   // sorts the low part of ℓc's spatial digit (digit % block) innermost
   // (full mixed-radix key) to make those states adjacent; build_tables
-  // verifies the fused digit layout and falls back to block=1 — or no
-  // plan — if it does not hold. The *row loop* ℓr (largest remaining T tile) is hoisted above
+  // verifies the fused digit layout and falls back to block=1 if it does
+  // not hold. The *row loop* ℓr (largest remaining T tile) is hoisted above
   // the sweep with constant per-row deltas; plan_t0 lists the T states
   // where both ℓc's and ℓr's digits are zero, so (burst x/l, t0, row, col)
   // enumerates every (x, l, spatial-in-block, t) iteration exactly once.
@@ -143,8 +134,8 @@ struct EngineTables {
   enum class PlanKind : std::uint8_t { None, Dot, Axpy, AxpyW };
   OperandLayout layout = OperandLayout::Native;  ///< operand layouts the
                                                  ///< coefficients describe
-  PlanKind plan_kind = PlanKind::None;
-  int col_loop = -1;       ///< ℓc (-1: no plan, legacy kernels)
+  PlanKind plan_kind = PlanKind::None;  ///< None only before build_tables
+  int col_loop = -1;       ///< ℓc
   std::int64_t block = 1;  ///< spatial states fused into one column sweep
   std::int64_t cols = 1;   ///< sweep length = block * sp_stride[col_loop]
   int row_loop = -1;       ///< ℓr (-1: single row)
@@ -155,7 +146,7 @@ struct EngineTables {
   std::int64_t col_dry = 0, col_dcx = 0;  ///< conv only
   std::vector<std::int64_t> plan_t0;  ///< T states with ℓc/ℓr digits zero
   /// X / L states the burst loop visits: those whose ℓc digit is zero
-  /// under a plan (the sweep covers the rest), every state without one.
+  /// (the sweep covers the rest).
   std::vector<std::int64_t> burst_x, burst_l;
   /// Per loop, the gidx extent one block's sweep covers past its start:
   /// cols for ℓc, the T tile for the others (dense-block check).
@@ -188,12 +179,6 @@ struct EngineTables {
   /// layers run as one inline chunk and never touch the pool.
   struct Chunk {
     std::int64_t begin = 0, end = 0;
-    // Per-loop max of spd over the range (the legacy kernels' dense-burst
-    // detection; the min is not needed for the trip check because every
-    // contribution is >= 0).
-    std::vector<std::int64_t> sp_max;
-    std::int64_t ry_sp_min = 0, ry_sp_max = 0;  ///< conv only
-    std::int64_t cx_sp_min = 0, cx_sp_max = 0;
   };
   std::vector<Chunk> chunks;
   std::int64_t groups = 0;  ///< write-disjoint groups (>= chunks.size())
@@ -230,10 +215,9 @@ EngineTables build_tables(const compiler::LayerProgram& program,
                           int max_chunks = 64,
                           std::int64_t min_chunk_maccs = kMinChunkMaccs);
 
-/// Runs the functional bursts over every (x, l) tile: dense kernel on
-/// interior bursts (plan kernels: interior blocks), guarded loop on edge
-/// ones, fanned across `pool`
-/// (nullptr, jobs()==1 or a single chunk runs serially on the caller).
+/// Runs the plan kernel over every burst (x, l) tile — branch-free on
+/// interior blocks, clipped on edge ones — fanned across `pool` (nullptr,
+/// jobs()==1 or a single chunk runs serially on the caller).
 /// `weights`, `input` and `out` are in tables.layout (the caller re-lays
 /// them); `out` is zero-initialized by the caller. Returns the number of
 /// valid MACCs executed. Output writes are chunk-disjoint, so the result is

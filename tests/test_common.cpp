@@ -144,6 +144,9 @@ TEST(StrUtil, ParseIntStrict) {
   EXPECT_FALSE(parse_int_strict("x8", 1, 100, &v));    // garbage prefix
   EXPECT_FALSE(parse_int_strict("8x", 1, 100, &v));    // trailing text
   EXPECT_FALSE(parse_int_strict("8 ", 1, 100, &v));    // trailing space
+  EXPECT_FALSE(parse_int_strict(" 8", 1, 100, &v));    // leading space
+  EXPECT_FALSE(parse_int_strict("\t8", 1, 100, &v));   // leading tab
+  EXPECT_FALSE(parse_int_strict("\n8", 1, 100, &v));   // leading newline
   EXPECT_FALSE(parse_int_strict("", 1, 100, &v));      // empty
   EXPECT_FALSE(parse_int_strict(nullptr, 1, 100, &v)); // absent
   EXPECT_FALSE(parse_int_strict("0", 1, 100, &v));     // below min
@@ -167,6 +170,8 @@ TEST(StrUtil, ParseDoubleStrict) {
   v = 42.0;
   EXPECT_FALSE(parse_double_strict("fast", &v));
   EXPECT_FALSE(parse_double_strict("1.5x", &v));
+  EXPECT_FALSE(parse_double_strict(" 2.5", &v));  // leading space
+  EXPECT_FALSE(parse_double_strict("2.5 ", &v));  // trailing space
   EXPECT_FALSE(parse_double_strict("", &v));
   EXPECT_FALSE(parse_double_strict(nullptr, &v));
   EXPECT_FALSE(parse_double_strict("inf", &v));  // finite only
@@ -323,7 +328,7 @@ TEST(ThreadPool, DefaultJobsHonorsFtdlJobsEnv) {
   EXPECT_EQ(default_jobs(), 1);
   // Garbage, trailing text, non-positive and int64-overflowing values fall
   // back to the hardware count instead of being half-read.
-  for (const char* bad : {"not-a-number", "5x", "0", "-3", "", " ", "2.5",
+  for (const char* bad : {"not-a-number", "5x", " 5", "0", "-3", "", " ", "2.5",
                           "99999999999999999999"}) {
     ::setenv("FTDL_JOBS", bad, 1);
     EXPECT_EQ(default_jobs(), fallback) << '"' << bad << '"';

@@ -510,6 +510,7 @@ TEST(ObsTransactions, MalformedBatchArgsStayUnknown) {
       {"99999999999999999999", "2147483648", 0, 0},
       {"", "0", 0, 0},
       {"-1", "4 ", 0, 0},
+      {"6", " 4", 6, 0},
   };
   ReconstructedLog log;
   double ts = 0.0;

@@ -36,9 +36,9 @@ arch::OverlayConfig random_config(Rng& rng) {
   return c;
 }
 
-/// Odd extents, strides and pads on purpose: the engine's dense/guarded
-/// split is exercised hardest when trip counts spill past the padded tiles
-/// and pad clipping cuts into edge bursts.
+/// Odd extents, strides and pads on purpose: the plan kernel's edge-block
+/// clipping is exercised hardest when trip counts spill past the padded
+/// tiles and pad clipping cuts into edge bursts.
 nn::Layer random_layer(Rng& rng, int idx) {
   const double pick = rng.uniform01();
   if (pick < 0.45) {
@@ -247,6 +247,7 @@ void expect_simd_scalar_reference_agree(const compiler::LayerProgram& prog,
       sim::simulate_layer(prog, cfg, data.weights, data.input, ref_opt);
   EXPECT_EQ(vec.output, ref.output)
       << "SIMD vs reference, jobs=" << jobs;
+  expect_same_stats(vec.stats, ref.stats, "SIMD vs reference");
   if (jobs > 1) expect_fine_chunks_match_serial(prog, data);
 }
 
@@ -446,7 +447,8 @@ struct LayoutCase {
   Tiles tiles;
   sim::OperandLayout layout;
   PlanKind kind;
-  bool fused;  ///< block > 1
+  bool fused;       ///< block > 1
+  bool one_column;  ///< cols == 1: no loop sweeps further
 };
 
 std::vector<LayoutCase> layout_cases() {
@@ -457,37 +459,37 @@ std::vector<LayoutCase> layout_cases() {
        nn::make_conv("lay_mi_dense", 16, 12, 12, 24, 1, 1, 0),
        {{{1, 1, 1, 6, 1, 1}, {4, 1, 1, 1, 1, 1}, {1, 1, 12, 1, 1, 1},
          {1, 1, 1, 2, 1, 1}, {1, 16, 1, 1, 1, 1}, {6, 1, 1, 1, 1, 1}}},
-       L::OutChannelInner, PlanKind::AxpyW, true},
+       L::OutChannelInner, PlanKind::AxpyW, true, false},
       {"out-inner fused, stride-2 pad, trip-spilled",
        nn::make_conv("lay_mi_s2", 3, 9, 9, 21, 3, 2, 1),
        {{{1, 1, 1, 5, 1, 1}, {4, 1, 1, 1, 1, 1}, {1, 1, 5, 1, 1, 1},
          {1, 1, 1, 1, 1, 1}, {1, 3, 1, 1, 3, 1}, {6, 1, 1, 1, 1, 3}}},
-       L::OutChannelInner, PlanKind::AxpyW, true},
+       L::OutChannelInner, PlanKind::AxpyW, true, false},
       {"out-inner spanned over an X tile on M, fused, pad-clipped",
        nn::make_conv("lay_mi_span", 5, 7, 7, 18, 3, 1, 1),
        {{{1, 1, 1, 1, 1, 1}, {3, 1, 1, 1, 1, 1}, {1, 1, 7, 1, 1, 1},
          {2, 1, 1, 1, 1, 1}, {1, 5, 1, 7, 3, 3}, {3, 1, 1, 1, 1, 1}}},
-       L::OutChannelInner, PlanKind::AxpyW, true},
+       L::OutChannelInner, PlanKind::AxpyW, true, false},
       {"in-inner fused, dense (1x1, exact trips)",
        nn::make_conv("lay_ni_dense", 24, 10, 10, 6, 1, 1, 0),
        {{{1, 4, 1, 1, 1, 1}, {1, 1, 1, 1, 1, 1}, {1, 1, 10, 1, 1, 1},
          {1, 1, 1, 10, 1, 1}, {6, 1, 1, 1, 1, 1}, {1, 6, 1, 1, 1, 1}}},
-       L::InChannelInner, PlanKind::Dot, true},
+       L::InChannelInner, PlanKind::Dot, true, false},
       {"in-inner fused, stride-2 pad, trip-spilled",
        nn::make_conv("lay_ni_s2", 11, 9, 9, 5, 3, 2, 1),
        {{{1, 3, 1, 1, 1, 1}, {1, 1, 1, 1, 1, 1}, {1, 1, 5, 1, 1, 1},
          {1, 1, 1, 5, 1, 1}, {5, 1, 1, 1, 3, 1}, {1, 4, 1, 1, 1, 3}}},
-       L::InChannelInner, PlanKind::Dot, true},
+       L::InChannelInner, PlanKind::Dot, true, false},
       {"in-inner spanned over an L tile on N, fused, pad-clipped",
        nn::make_conv("lay_ni_span", 20, 6, 6, 4, 3, 1, 1),
        {{{1, 2, 1, 1, 1, 1}, {1, 1, 1, 1, 1, 1}, {1, 1, 6, 1, 1, 1},
          {1, 1, 1, 6, 1, 1}, {4, 2, 1, 1, 3, 3}, {1, 5, 1, 1, 1, 1}}},
-       L::InChannelInner, PlanKind::Dot, true},
+       L::InChannelInner, PlanKind::Dot, true, false},
       {"native axpy over F, pad-clipped",
        nn::make_conv("lay_native", 4, 8, 8, 3, 3, 1, 1),
        {{{1, 1, 1, 1, 1, 1}, {1, 1, 1, 1, 1, 1}, {1, 1, 8, 1, 1, 1},
          {1, 1, 1, 1, 1, 1}, {3, 4, 1, 1, 3, 3}, {1, 1, 1, 8, 1, 1}}},
-       L::Native, PlanKind::Axpy, false},
+       L::Native, PlanKind::Axpy, false, false},
       // MM tiles: {M, N, P} per level.
       // One chunk's worth of MACCs: fuses all 4 output groups (under the
       // fine-chunk floor of expect_fine_chunks_match_serial it keeps them
@@ -497,23 +499,38 @@ std::vector<LayoutCase> layout_cases() {
        nn::make_matmul("lay_mm_mi", 27, 38, 1),
        {{{7, 1, 1}, {1, 4, 1}, {1, 1, 1}, {1, 1, 1}, {4, 1, 1},
          {1, 10, 1}}},
-       L::OutChannelInner, PlanKind::AxpyW, true},
+       L::OutChannelInner, PlanKind::AxpyW, true, false},
       {"MM in-inner fused",
        nn::make_matmul("lay_mm_ni", 32, 6, 3),
        {{{4, 1, 1}, {1, 2, 1}, {1, 1, 1}, {1, 1, 1}, {1, 3, 3},
          {8, 1, 1}}},
-       L::InChannelInner, PlanKind::Dot, true},
+       L::InChannelInner, PlanKind::Dot, true, false},
+      // 1-column plans: a layer whose only unit-coefficient loop has
+      // extent 1 still runs the plan kernel. Native S of a stride-2 1x1
+      // depthwise layer (trip-spilled N and E tiles, E the row loop) ...
+      // Depthwise tiles: {N, E, F, R, S} per level.
+      {"1-column Dot, stride-2 1x1 depthwise, trip-spilled",
+       nn::make_depthwise("lay_one_col_dw", 6, 9, 9, 1, 2, 0),
+       {{{4, 1, 1, 1, 1}, {1, 1, 1, 1, 1}, {1, 3, 1, 1, 1},
+         {2, 1, 1, 1, 1}, {1, 1, 5, 1, 1}, {1, 2, 1, 1, 1}}},
+       L::Native, PlanKind::Dot, false, true},
+      // ... and native M of the fully degenerate matmul.
+      {"1-column Dot, 1x1x1 matmul",
+       nn::make_matmul("lay_one_col_mm", 1, 1, 1),
+       {{{1, 1, 1}, {1, 1, 1}, {1, 1, 1}, {1, 1, 1}, {1, 1, 1},
+         {1, 1, 1}}},
+       L::Native, PlanKind::Dot, false, true},
   };
 }
 
 // Each operand layout the plan search can choose — native, output channels
-// innermost and input channels innermost — over dense and guarded
-// (trip-spilled and pad-clipped) bursts, fused and unfused blocks and a
-// stride-2 padded conv: Fast≡Reference and SIMD≡scalar at jobs 1 and 8 on
-// int16-extreme data — these layers are one chunk under the work floor, so
-// jobs 8 also fans them out one chunk per group — and the CachedLayerSim
-// engine-layout path agreeing with simulate_layer once its output is
-// un-permuted.
+// innermost and input channels innermost — over interior and edge
+// (trip-spilled and pad-clipped) blocks, fused and unfused blocks, 1-column
+// sweeps and a stride-2 padded conv: Fast≡Reference (outputs and SimStats)
+// and SIMD≡scalar at jobs 1 and 8 on int16-extreme data — these layers
+// are one chunk under the work floor, so jobs 8 also fans them out one
+// chunk per group — and the CachedLayerSim engine-layout path agreeing
+// with simulate_layer once its output is un-permuted.
 TEST(SimEngine, LayoutPlansMatchReferenceAndScalar) {
   const arch::OverlayConfig cfg = arch::paper_config();
   for (const LayoutCase& c : layout_cases()) {
@@ -523,6 +540,7 @@ TEST(SimEngine, LayoutPlansMatchReferenceAndScalar) {
     ASSERT_EQ(tb.layout, c.layout);
     ASSERT_EQ(tb.plan_kind, c.kind);
     EXPECT_EQ(tb.block > 1, c.fused) << "block " << tb.block;
+    EXPECT_EQ(tb.cols == 1, c.one_column) << "cols " << tb.cols;
     EXPECT_EQ(tb.chunks.size(), 1u);
 
     const LayerData data = extreme_data(c.layer, 17);
@@ -706,10 +724,10 @@ TEST(SimEngine, LevelSpanningSweepsMatchReferenceAndScalar) {
 }
 
 // The plan-quality floor: at paper_config every ResNet50 overlay layer gets
-// a vector plan — none falls back to the scalar legacy kernels — and no
-// sweep is shorter than the longest T tile of a unit-coefficient loop of
-// its layout; spanning the X/L levels lengthens res3_*/conv3_1x1 (an 8-wide
-// M tile under a 13-wide X tile) to at least 104 columns.
+// a vector plan at least two columns long, and no sweep is shorter than the
+// longest T tile of a unit-coefficient loop of its layout; spanning the X/L
+// levels lengthens res3_*/conv3_1x1 (an 8-wide M tile under a 13-wide X
+// tile) to at least 104 columns.
 TEST(SimEngine, EveryResNet50LayerGetsAVectorPlan) {
   const arch::OverlayConfig cfg = arch::paper_config();
   const nn::Network& net = nn::model_by_name("ResNet50");
