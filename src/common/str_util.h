@@ -25,6 +25,10 @@ std::string format_percent(double ratio, int decimals = 1);
 /// Join a vector of int64 as "a x b x c".
 std::string join_x(const std::vector<std::int64_t>& v);
 
+/// Escapes a string for inclusion inside JSON double quotes (quotes,
+/// backslashes and control characters).
+std::string json_escape(const std::string& s);
+
 /// Strict base-10 integer parsing for CLI flags: the whole string must be a
 /// number in [min_v, max_v] — garbage, leading or trailing text
 /// (whitespace included), empty input and overflow all return false

@@ -9,6 +9,7 @@
 #include <fstream>
 
 #include "common/error.h"
+#include "common/str_util.h"
 #include "obs/stream_format.h"
 #include "obs/stream_writer.h"
 
@@ -39,30 +40,6 @@ void set_thread_track_name(const std::string& name) { t_track_name = name; }
 const std::string& thread_track_name() { return t_track_name; }
 
 namespace {
-
-/// Escapes a string for inclusion inside JSON double quotes.
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 /// Shortest representation of a double that round-trips through strtod.
 std::string json_double(double v) {

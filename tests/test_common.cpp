@@ -8,10 +8,12 @@
 #include <atomic>
 #include <limits>
 #include <numeric>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "common/arena.h"
+#include "common/cli.h"
 #include "common/csv.h"
 #include "common/error.h"
 #include "common/fixed_point.h"
@@ -177,6 +179,135 @@ TEST(StrUtil, ParseDoubleStrict) {
   EXPECT_FALSE(parse_double_strict("inf", &v));  // finite only
   EXPECT_FALSE(parse_double_strict("nan", &v));
   EXPECT_EQ(v, 42.0) << "out must be untouched on failure";
+}
+
+// ---- ftdl::cli: the tools' table-driven flag parser ------------------------
+
+std::string parse_cli(const cli::Spec& spec, std::vector<const char*> args) {
+  args.insert(args.begin(), "tool");
+  return cli::try_parse(spec, static_cast<int>(args.size()), args.data());
+}
+
+TEST(Cli, IntegerBoundsAreInclusive) {
+  int n = 5;
+  const cli::Spec spec{"tool", {}, {cli::integer("--n", "N", "", &n, 1, 10)}};
+  EXPECT_EQ(parse_cli(spec, {"--n", "1"}), "");
+  EXPECT_EQ(n, 1);
+  EXPECT_EQ(parse_cli(spec, {"--n", "10"}), "");
+  EXPECT_EQ(n, 10);
+  EXPECT_EQ(parse_cli(spec, {"--n", "0"}),
+            "--n needs an integer in [1, 10], got '0'");
+  EXPECT_EQ(parse_cli(spec, {"--n", "11"}),
+            "--n needs an integer in [1, 10], got '11'");
+  EXPECT_EQ(n, 10) << "a rejected value must not be stored";
+}
+
+TEST(Cli, GarbageAndWhitespaceValuesAreRejected) {
+  std::int64_t n = 5;
+  const cli::Spec spec{"tool", {}, {cli::integer("--n", "N", "", &n, 1, 10)}};
+  for (const char* v : {"x8", "8x", "3.5", "", " 8", "\t8", "8 "}) {
+    EXPECT_NE(parse_cli(spec, {"--n", v}), "") << "'" << v << "'";
+  }
+  EXPECT_EQ(n, 5);
+}
+
+TEST(Cli, RealSignRules) {
+  double pos = 1.0, nonneg = 1.0;
+  const cli::Spec spec{
+      "tool",
+      {},
+      {cli::real("--pos", "X", "", &pos, cli::Sign::Positive),
+       cli::real("--nonneg", "X", "", &nonneg, cli::Sign::NonNegative)}};
+  EXPECT_EQ(parse_cli(spec, {"--pos", "0.5", "--nonneg", "0"}), "");
+  EXPECT_EQ(pos, 0.5);
+  EXPECT_EQ(nonneg, 0.0);
+  EXPECT_EQ(parse_cli(spec, {"--pos", "0"}),
+            "--pos needs a positive number, got '0'");
+  EXPECT_NE(parse_cli(spec, {"--pos", "-1"}), "");
+  EXPECT_EQ(parse_cli(spec, {"--nonneg", "-0.1"}),
+            "--nonneg needs a non-negative number, got '-0.1'");
+  for (const char* v : {"fast", "inf", "nan", " 2"}) {
+    EXPECT_NE(parse_cli(spec, {"--nonneg", v}), "") << v;
+  }
+  EXPECT_EQ(pos, 0.5);
+  EXPECT_EQ(nonneg, 0.0);
+}
+
+TEST(Cli, ChoiceOutsideItsSetIsRejected) {
+  std::string obj = "obj1";
+  const cli::Spec spec{"tool",
+                       {},
+                       {cli::choice("--obj", "obj1|obj2", "", &obj)}};
+  EXPECT_EQ(parse_cli(spec, {"--obj", "obj2"}), "");
+  EXPECT_EQ(obj, "obj2");
+  EXPECT_EQ(parse_cli(spec, {"--obj", "obj3"}),
+            "--obj needs one of obj1|obj2, got 'obj3'");
+  for (const char* v : {"obj", "bj1", "", "obj1|obj2"}) {
+    EXPECT_NE(parse_cli(spec, {"--obj", v}), "") << v;
+  }
+  EXPECT_EQ(obj, "obj2");
+}
+
+TEST(Cli, MissingValueUnknownFlagAndRepeats) {
+  int n = 0;
+  bool on = false;
+  std::string path;
+  const cli::Spec spec{"tool",
+                       {},
+                       {cli::integer("--n", "N", "", &n, 0, 100),
+                        cli::flag("--on", "", &on),
+                        cli::text("--out", "FILE", "", &path)}};
+  EXPECT_EQ(parse_cli(spec, {"--n"}), "missing value for --n");
+  EXPECT_EQ(parse_cli(spec, {"--on", "--out"}), "missing value for --out");
+  EXPECT_EQ(parse_cli(spec, {"--bogus"}), "unknown option --bogus");
+  EXPECT_EQ(parse_cli(spec, {"-"}), "unknown option -");
+  EXPECT_EQ(parse_cli(spec, {"--n", "3", "--out", "a", "--n", "4", "--out",
+                             "-b"}),
+            "");
+  EXPECT_EQ(n, 4) << "the last repeat wins";
+  EXPECT_EQ(path, "-b") << "a value may start with '-'";
+  EXPECT_TRUE(on);
+}
+
+TEST(Cli, PositionalCount) {
+  std::string file;
+  const cli::Spec required{"tool", {"FILE", "", &file, true}, {}};
+  EXPECT_EQ(parse_cli(required, {}), "missing FILE argument");
+  EXPECT_EQ(parse_cli(required, {"a", "b"}), "unexpected argument 'b'");
+  EXPECT_EQ(parse_cli(required, {"a"}), "");
+  EXPECT_EQ(file, "a");
+
+  std::string model = "seqCNN";
+  const cli::Spec optional{"tool", {"MODEL", "", &model, false}, {}};
+  EXPECT_EQ(parse_cli(optional, {}), "");
+  EXPECT_EQ(model, "seqCNN");
+  EXPECT_EQ(parse_cli(optional, {"x", "y"}), "unexpected argument 'y'");
+
+  const cli::Spec none{"tool", {}, {}};
+  EXPECT_EQ(parse_cli(none, {"a"}), "unexpected argument 'a'");
+}
+
+TEST(Cli, UsageIsGeneratedFromTheTable) {
+  std::string file, dev = "xcvu125";
+  int jobs = 0, d1 = 12;
+  double clock = 650.0;
+  bool quiet = false;
+  const cli::Spec spec{
+      "tool",
+      {"FILE", "input file", &file, true},
+      {cli::text("--device", "NAME", "target device", &dev),
+       cli::integer("--d1", "N", "overlay D1", &d1, 1, 100),
+       cli::integer("--jobs", "N", "parallelism", &jobs, 1, 1024),
+       cli::real("--clock", "MHZ", "CLKh in MHz", &clock, cli::Sign::Positive),
+       cli::flag("--quiet", "less output", &quiet)}};
+  EXPECT_EQ(cli::usage(spec),
+            "usage: tool FILE [options]\n"
+            "  FILE           input file\n"
+            "  --device NAME  target device (default xcvu125)\n"
+            "  --d1 N         overlay D1 (default 12)\n"
+            "  --jobs N       parallelism\n"
+            "  --clock MHZ    CLKh in MHz (default 650)\n"
+            "  --quiet        less output\n");
 }
 
 TEST(Csv, WritesEscapedRows) {

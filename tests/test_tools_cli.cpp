@@ -1,22 +1,25 @@
 // End-to-end CLI tests driving the real tool binaries as child processes:
 // strict flag parsing (a bad numeric flag must exit 2 with a diagnostic,
-// never run with a silent 0), and the persistent program cache's
+// never run with a silent 0), the usage text generated from each tool's
+// flag table, export write errors, and the persistent program cache's
 // cross-process behavior — compile in one ftdlc process, warm-load in the
 // next, evict-and-recompile after on-disk corruption.
 //
 // Tool paths and the example spec directory are injected by CMake via
-// FTDL_*_PATH compile definitions (tests/CMakeLists.txt).
+// FTDL_*_PATH compile definitions (tools/CMakeLists.txt).
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace {
@@ -99,6 +102,122 @@ TEST(ToolsCli, FtdlLintRejectsGarbageNumericFlags) {
   const RunResult r =
       run(std::string(FTDL_LINT_PATH) + " nonexistent.hex --d1 x12");
   EXPECT_EQ(r.exit_code, 2) << r.output;
+}
+
+TEST(ToolsCli, FtdlObsqRejectsBadCommandLines) {
+  for (const char* args : {"run.ftdls --bogus", "a.ftdls b.ftdls", "",
+                           "run.ftdls --trace"}) {
+    const RunResult r = run(std::string(FTDL_OBSQ_PATH) + " " + args);
+    EXPECT_EQ(r.exit_code, 2) << args << "\n" << r.output;
+    EXPECT_NE(r.output.find("usage:"), std::string::npos) << args;
+  }
+}
+
+TEST(ToolsCli, FtdlLintRejectsBadCommandLines) {
+  for (const char* args :
+       {"prog.hex --bogus", "a.hex b.hex", "prog.hex --clock 0"}) {
+    const RunResult r = run(std::string(FTDL_LINT_PATH) + " " + args);
+    EXPECT_EQ(r.exit_code, 2) << args << "\n" << r.output;
+    EXPECT_NE(r.output.find("usage:"), std::string::npos) << args;
+  }
+}
+
+// A second MODEL is a usage error, not a silent "last one wins". Run from a
+// scratch dir so a tool that did run would not litter the build tree.
+TEST(ToolsCli, ServeAndProfRejectASecondModel) {
+  TempDir dir;
+  for (const char* tool : {FTDL_SERVE_PATH, FTDL_PROF_PATH}) {
+    const RunResult r = run("cd " + dir.path + " && " + tool +
+                            " GoogLeNet Sentimental-seqCNN");
+    EXPECT_EQ(r.exit_code, 2) << tool << "\n" << r.output;
+    EXPECT_NE(r.output.find("usage:"), std::string::npos) << tool;
+  }
+}
+
+/// True if `text` contains `flag` as a whole word ("--d1", not "--d10").
+bool names_flag(const std::string& text, const std::string& flag) {
+  for (std::size_t at = text.find(flag); at != std::string::npos;
+       at = text.find(flag, at + 1)) {
+    const char next = text[at + flag.size()];  // '\0' past the end
+    if (!std::isalnum(static_cast<unsigned char>(next)) && next != '-')
+      return true;
+  }
+  return false;
+}
+
+// The usage text is generated from each tool's flag table, so it names
+// every flag the tool accepts.
+TEST(ToolsCli, UsageNamesEveryFlag) {
+  const std::vector<std::pair<std::string, std::vector<const char*>>> tools = {
+      {std::string(FTDL_FTDLC_PATH),
+       {"--device", "--d1", "--d2", "--d3", "--clock", "--objective",
+        "--budget", "--jobs", "--emit", "--bundle", "--verify", "--timing",
+        "--rtl", "--cache-dir", "--quiet"}},
+      {std::string(FTDL_SERVE_PATH),
+       {"--list", "--requests", "--clients", "--workers", "--batch",
+        "--timeout-us", "--depth", "--rate", "--path", "--seed", "--check",
+        "--trace", "--metrics", "--stream", "--cache-dir"}},
+      {std::string(FTDL_PROF_PATH),
+       {"--list", "--trace", "--metrics", "--stream", "--budget", "--jobs",
+        "--no-sim", "--sim-macs-limit", "--cache-dir"}},
+      {std::string(FTDL_LINT_PATH),
+       {"--network", "--json", "--Werror", "--d1", "--d2", "--d3", "--clock",
+        "--quiet"}},
+      {std::string(FTDL_OBSQ_PATH),
+       {"--check", "--txns", "--trace", "--metrics", "--hexdump"}},
+  };
+  for (const auto& [tool, flags] : tools) {
+    const RunResult r = run(tool + " --bogus");
+    EXPECT_EQ(r.exit_code, 2) << tool << "\n" << r.output;
+    for (const char* flag : flags) {
+      EXPECT_TRUE(names_flag(r.output, flag))
+          << tool << " usage lacks " << flag << "\n" << r.output;
+    }
+  }
+}
+
+// The error line (before the usage text) names the flag missing its value.
+TEST(ToolsCli, MissingValueNamesTheFlag) {
+  for (const std::string& cmd :
+       {std::string(FTDL_FTDLC_PATH) + " " + kSpec + " --jobs",
+        std::string(FTDL_PROF_PATH) + " --jobs"}) {
+    const RunResult r = run(cmd);
+    EXPECT_EQ(r.exit_code, 2) << cmd << "\n" << r.output;
+    const std::string first_line = r.output.substr(0, r.output.find('\n'));
+    EXPECT_NE(first_line.find("--jobs"), std::string::npos) << r.output;
+  }
+}
+
+// The ftdlc invocation block in docs/spec-language.md is the generated usage.
+TEST(ToolsCli, SpecLanguageDocShowsGeneratedUsage) {
+  const RunResult r = run(std::string(FTDL_FTDLC_PATH) + " --bogus");
+  ASSERT_EQ(r.exit_code, 2) << r.output;
+  const std::string usage = r.output.substr(r.output.find("usage:"));
+  std::ifstream in(std::string(FTDL_EXAMPLES_DIR) +
+                   "/../docs/spec-language.md");
+  ASSERT_TRUE(in);
+  const std::string doc((std::istreambuf_iterator<char>(in)),
+                        std::istreambuf_iterator<char>());
+  EXPECT_NE(doc.find(usage), std::string::npos) << usage;
+}
+
+// An export that cannot be written fails the run (exit 1 with a message)
+// instead of reporting success.
+TEST(ToolsCli, FtdlObsqReportsExportWriteErrors) {
+  if (!fs::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  TempDir dir;
+  const std::string log = dir.path + "/run.ftdls";
+  const RunResult rec = run(
+      std::string(FTDL_SERVE_PATH) + " --requests 2 --clients 1 --stream " +
+      log + " --trace " + dir.path + "/t.json --metrics " + dir.path +
+      "/m.json");
+  ASSERT_EQ(rec.exit_code, 0) << rec.output;
+  for (const char* flag : {"--trace", "--metrics"}) {
+    const RunResult r = run(std::string(FTDL_OBSQ_PATH) + " " + log + " " +
+                            flag + " /dev/full");
+    EXPECT_EQ(r.exit_code, 1) << flag << "\n" << r.output;
+    EXPECT_NE(r.output.find("/dev/full"), std::string::npos) << r.output;
+  }
 }
 
 // ---- cross-process persistent cache ---------------------------------------

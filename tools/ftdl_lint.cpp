@@ -16,20 +16,11 @@
 //     diagnostics — overlapping tensor ranges, shape breaks, stale or
 //     missing programs.
 //
-//   ftdl-lint FILE [--network] [--json] [--Werror]
-//             [--d1 N --d2 N --d3 N] [--clock MHZ] [--quiet]
-//
-//   --network  require FILE to be a ftdl-network bundle (the format is
-//              auto-detected either way; the flag turns a mismatch into an
-//              error instead of falling back)
-//   --json     machine-readable diagnostics on stdout (ftdl-lint-v1)
-//   --Werror   promote warnings to the failing exit status
+// `ftdl-lint --bogus` prints the options (generated from the table below).
 //
 // Exit status: 0 = clean, 1 = error diagnostics (or any diagnostic under
 // --Werror), 2 = usage / unreadable input.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -39,6 +30,7 @@
 #include "analyze/network_io.h"
 #include "arch/isa.h"
 #include "arch/overlay_config.h"
+#include "common/cli.h"
 #include "common/error.h"
 #include "common/str_util.h"
 #include "compiler/program_io.h"
@@ -58,68 +50,28 @@ struct Args {
   bool require_network = false;
 };
 
-[[noreturn]] void usage(const char* msg = nullptr) {
-  if (msg) std::fprintf(stderr, "ftdl-lint: %s\n", msg);
-  std::fprintf(stderr,
-               "usage: ftdl-lint FILE [--network] [--json] [--Werror]\n"
-               "                 [--d1 N --d2 N --d3 N] [--clock MHZ] "
-               "[--quiet]\n"
-               "  FILE: .ftdlprog artifact, ftdl-network bundle, or "
-               "`ftdlc --emit` hex word dump\n");
-  std::exit(2);
-}
-
-/// Strict positive-integer option parsing (common/str_util): rejects garbage
-/// and out-of-range values instead of std::atoi's silent 0.
-int parse_pos_int(const char* opt, const char* s) {
-  std::int64_t v = 0;
-  if (!parse_int_strict(s, 1, 1'000'000, &v)) {
-    usage((std::string(opt) + " needs a positive integer, got '" + s + "'")
-              .c_str());
-  }
-  return static_cast<int>(v);
-}
-
-double parse_pos_double(const char* opt, const char* s) {
-  double v = 0.0;
-  if (!parse_double_strict(s, &v) || !(v > 0.0)) {
-    usage((std::string(opt) + " needs a positive number, got '" + s + "'")
-              .c_str());
-  }
-  return v;
-}
-
 Args parse_args(int argc, char** argv) {
   Args args;
-  auto next = [&](int& i) -> const char* {
-    if (i + 1 >= argc) usage("missing option value");
-    return argv[++i];
-  };
-  for (int i = 1; i < argc; ++i) {
-    const char* a = argv[i];
-    if (std::strcmp(a, "--d1") == 0) args.config.d1 = parse_pos_int(a, next(i));
-    else if (std::strcmp(a, "--d2") == 0) args.config.d2 = parse_pos_int(a, next(i));
-    else if (std::strcmp(a, "--d3") == 0) args.config.d3 = parse_pos_int(a, next(i));
-    else if (std::strcmp(a, "--clock") == 0) {
-      args.config.clocks =
-          fpga::ClockPair::from_high(parse_pos_double(a, next(i)) * 1e6);
-    } else if (std::strcmp(a, "--quiet") == 0) {
-      args.quiet = true;
-    } else if (std::strcmp(a, "--json") == 0) {
-      args.json = true;
-    } else if (std::strcmp(a, "--Werror") == 0) {
-      args.warnings_as_errors = true;
-    } else if (std::strcmp(a, "--network") == 0) {
-      args.require_network = true;
-    } else if (a[0] == '-') {
-      usage((std::string("unknown option ") + a).c_str());
-    } else if (args.path.empty()) {
-      args.path = a;
-    } else {
-      usage("multiple input files given");
-    }
-  }
-  if (args.path.empty()) usage("no input file given");
+  arch::OverlayConfig& cfg = args.config;
+  double clock_mhz = cfg.clocks.clk_h_hz / 1e6;
+  cli::parse(
+      {"ftdl-lint",
+       {"FILE", ".ftdlprog, ftdl-network bundle or `ftdlc --emit` hex dump",
+        &args.path, true},
+       {cli::flag("--network", "require an ftdl-network bundle, no fallback",
+                  &args.require_network),
+        cli::flag("--json", "machine-readable diagnostics (ftdl-lint-v1)",
+                  &args.json),
+        cli::flag("--Werror", "promote warnings to the failing exit status",
+                  &args.warnings_as_errors),
+        cli::integer("--d1", "N", "overlay D1", &cfg.d1, 1, 1'000'000),
+        cli::integer("--d2", "N", "overlay D2", &cfg.d2, 1, 1'000'000),
+        cli::integer("--d3", "N", "overlay D3", &cfg.d3, 1, 1'000'000),
+        cli::real("--clock", "MHZ", "CLKh in MHz", &clock_mhz,
+                  cli::Sign::Positive),
+        cli::flag("--quiet", "list only the failing streams", &args.quiet)}},
+      argc, argv);
+  cfg.clocks = fpga::ClockPair::from_high(clock_mhz * 1e6);
   return args;
 }
 
@@ -160,29 +112,6 @@ struct Report {
     }
   }
 };
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 void print_json(const Args& args, const Report& report) {
   std::printf("{\n  \"schema\": \"ftdl-lint-v1\",\n  \"file\": \"%s\",\n"

@@ -2,33 +2,22 @@
 // (format spec: docs/obs-stream-format.md; workflows: docs/operations.md).
 //
 // Loads a log recorded by `ftdl-serve --stream` / `ftdl-prof --stream` (or
-// any obs::stream::StreamWriter) and operates on the reconstructed run:
-//
-//   ftdl-obsq LOG [options]
-//     (no option)      summary: framing, records, tracks, spans, health
-//     --check          verify structural invariants (contiguous chunk and
-//                      record sequences, balanced + monotonic spans,
-//                      resolvable strings); exit 1 with the offending
-//                      sequence number on the first violation
-//     --txns           reconstruct request transactions (enqueue ->
-//                      batch/execute chains recorded by ftdl::serve) and
-//                      print one line per request
-//     --trace FILE     export Chrome trace-event JSON from the log —
-//                      byte-identical to the live registry's export for
-//                      the same run
-//     --metrics FILE   export the ftdl-metrics-v1 snapshot from the log
-//     --hexdump        print the raw log bytes xxd-style (the rendering
-//                      the format spec's worked example uses)
+// any obs::stream::StreamWriter) and operates on the reconstructed run: a
+// summary (framing, records, tracks, spans, health), a check of the log's
+// structural invariants (contiguous chunk and record sequences, balanced and
+// monotonic spans, resolvable strings), the serve request transactions, or
+// a re-export of the Chrome trace (byte-identical to the live registry's
+// export for the same run) and the metrics snapshot.
+// `ftdl-obsq --bogus` prints the options (generated from the table below).
 //
 // Exit status: 0 = loaded fine and (with --check) all invariants hold;
-// 1 = damage or an invariant violation; 2 = usage error.
+// 1 = damage, an invariant violation or a failed export; 2 = usage error.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
 
+#include "common/cli.h"
 #include "common/error.h"
 #include "obs/obs.h"
 #include "obs/stream_reader.h"
@@ -47,32 +36,23 @@ struct Args {
   bool hexdump = false;
 };
 
-[[noreturn]] void usage(const char* msg = nullptr) {
-  if (msg) std::fprintf(stderr, "ftdl-obsq: %s\n", msg);
-  std::fprintf(stderr,
-               "usage: ftdl-obsq LOG [--check] [--txns] [--trace FILE] "
-               "[--metrics FILE] [--hexdump]\n");
-  std::exit(2);
-}
-
 Args parse_args(int argc, char** argv) {
   Args args;
-  auto next = [&](int& i) -> const char* {
-    if (i + 1 >= argc) usage("missing option value");
-    return argv[++i];
-  };
-  for (int i = 1; i < argc; ++i) {
-    const char* a = argv[i];
-    if (std::strcmp(a, "--check") == 0) args.check = true;
-    else if (std::strcmp(a, "--txns") == 0) args.txns = true;
-    else if (std::strcmp(a, "--hexdump") == 0) args.hexdump = true;
-    else if (std::strcmp(a, "--trace") == 0) args.trace_path = next(i);
-    else if (std::strcmp(a, "--metrics") == 0) args.metrics_path = next(i);
-    else if (a[0] == '-') usage(("unknown option " + std::string(a)).c_str());
-    else if (!args.log_path.empty()) usage("more than one LOG argument");
-    else args.log_path = a;
-  }
-  if (args.log_path.empty()) usage("missing LOG argument");
+  cli::parse(
+      {"ftdl-obsq",
+       {"LOG", "ftdl-stream-v1 event log", &args.log_path, true},
+       {cli::flag("--check",
+                  "verify the log's invariants; exit 1 on the first violation",
+                  &args.check),
+        cli::flag("--txns", "print one line per request transaction",
+                  &args.txns),
+        cli::text("--trace", "FILE", "export Chrome trace-event JSON",
+                  &args.trace_path),
+        cli::text("--metrics", "FILE", "export the ftdl-metrics-v1 snapshot",
+                  &args.metrics_path),
+        cli::flag("--hexdump", "print the raw log bytes xxd-style",
+                  &args.hexdump)}},
+      argc, argv);
   return args;
 }
 
@@ -80,6 +60,7 @@ void write_file(const std::string& path, const std::string& body) {
   std::ofstream out(path, std::ios::binary);
   if (!out) throw Error("cannot open " + path + " for writing");
   out << body;
+  if (!out.flush()) throw Error("write to " + path + " failed");
 }
 
 void print_summary(const Args& args, const LoadedLog& log,

@@ -8,36 +8,23 @@
 // and stalls) — then writes
 //   trace.json    Chrome trace-event JSON (open in https://ui.perfetto.dev)
 //   metrics.json  flat counters/gauges snapshot (schema ftdl-metrics-v1)
+// and, with --stream, an ftdl-stream-v1 binary event log
+// (docs/obs-stream-format.md; query with ftdl-obsq). The functional
+// simulator executes every MACC, so networks above --sim-macs-limit skip
+// the cycle-level phase. `ftdl-prof --bogus` prints the options (generated
+// from the table below).
 //
-//   ftdl-prof [MODEL] [options]
-//     MODEL               Table I model name (default Sentimental-seqCNN)
-//                         or a .ftdl network-spec path
-//     --list              list the model zoo and exit
-//     --trace FILE        trace output path    (default trace.json)
-//     --metrics FILE      metrics output path  (default metrics.json)
-//     --stream FILE       also record an ftdl-stream-v1 binary event log
-//                         (docs/obs-stream-format.md; query with ftdl-obsq)
-//     --budget N          mapping-search budget per layer (default 8000)
-//     --jobs N            compiler parallelism (default: FTDL_JOBS env, else
-//                         the hardware thread count; results bit-identical)
-//     --no-sim            skip the cycle-level execution phase
-//     --sim-macs-limit N  skip simulation above N network MACs (default 5e8;
-//                         the functional simulator executes every MACC)
-//     --cache-dir DIR     persistent program cache (FTDL_CACHE_DIR env);
-//                         repeat profiles warm-start compiles from disk
+// Exit status: 0 = profiled, 1 = run or partition-check error,
+// 2 = usage error.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
 #include <memory>
-#include <sstream>
 #include <string>
 
 #include "analyze/analyze.h"
 #include "arch/overlay_config.h"
+#include "common/cli.h"
 #include "common/error.h"
 #include "common/rng.h"
-#include "common/str_util.h"
 #include "compiler/program_store.h"
 #include "compiler/session.h"
 #include "frontend/spec_parser.h"
@@ -65,66 +52,33 @@ struct Args {
   bool list = false;
 };
 
-[[noreturn]] void usage(const char* msg = nullptr) {
-  if (msg) std::fprintf(stderr, "ftdl-prof: %s\n", msg);
-  std::fprintf(stderr,
-               "usage: ftdl-prof [MODEL|SPEC.ftdl] [--trace FILE] "
-               "[--metrics FILE] [--stream FILE]\n                 "
-               "[--budget N] [--jobs N] [--cache-dir DIR] "
-               "[--no-sim] [--sim-macs-limit N] [--list]\n");
-  std::exit(2);
-}
-
-/// Strict flag parsing (common/str_util): `--budget 8k` is a usage error,
-/// never a silent 0.
-std::int64_t parse_int_flag(const char* opt, const char* s, std::int64_t min_v,
-                            std::int64_t max_v) {
-  std::int64_t v = 0;
-  if (!parse_int_strict(s, min_v, max_v, &v)) {
-    usage((std::string(opt) + " needs an integer in [" +
-           std::to_string(min_v) + ", " + std::to_string(max_v) + "], got '" +
-           s + "'")
-              .c_str());
-  }
-  return v;
-}
-
 Args parse_args(int argc, char** argv) {
   Args args;
-  auto next = [&](int& i) -> const char* {
-    if (i + 1 >= argc) usage("missing option value");
-    return argv[++i];
-  };
-  for (int i = 1; i < argc; ++i) {
-    const char* a = argv[i];
-    if (std::strcmp(a, "--trace") == 0) args.trace_path = next(i);
-    else if (std::strcmp(a, "--metrics") == 0) args.metrics_path = next(i);
-    else if (std::strcmp(a, "--stream") == 0) args.stream_path = next(i);
-    else if (std::strcmp(a, "--budget") == 0)
-      args.budget = parse_int_flag(a, next(i), 1, 1'000'000'000);
-    else if (std::strcmp(a, "--jobs") == 0)
-      args.jobs = static_cast<int>(parse_int_flag(a, next(i), 1, 1024));
-    else if (std::strcmp(a, "--cache-dir") == 0) args.cache_dir = next(i);
-    else if (std::strcmp(a, "--sim-macs-limit") == 0)
-      args.sim_macs_limit =
-          parse_int_flag(a, next(i), 0, 9'223'372'036'854'775'807LL);
-    else if (std::strcmp(a, "--no-sim") == 0) args.no_sim = true;
-    else if (std::strcmp(a, "--list") == 0) args.list = true;
-    else if (a[0] == '-') usage(("unknown option " + std::string(a)).c_str());
-    else args.model = a;
-  }
+  cli::parse(
+      {"ftdl-prof",
+       {"MODEL", "zoo model name or .ftdl spec path", &args.model, false},
+       {cli::text("--trace", "FILE", "trace output path", &args.trace_path),
+        cli::text("--metrics", "FILE", "metrics output path",
+                  &args.metrics_path),
+        cli::text("--stream", "FILE", "also record an ftdl-stream-v1 event log",
+                  &args.stream_path),
+        cli::integer("--budget", "N", "mapping-search budget per layer",
+                     &args.budget, 1, 1'000'000'000),
+        cli::integer("--jobs", "N",
+                     "compiler parallelism (default FTDL_JOBS env, else "
+                     "hardware threads)",
+                     &args.jobs, 1, 1024),
+        cli::text("--cache-dir", "DIR",
+                  "persistent program cache (else FTDL_CACHE_DIR env)",
+                  &args.cache_dir),
+        cli::flag("--no-sim", "skip the cycle-level execution phase",
+                  &args.no_sim),
+        cli::integer("--sim-macs-limit", "N",
+                     "skip simulation above N network MACs",
+                     &args.sim_macs_limit, 0, 9'223'372'036'854'775'807LL),
+        cli::flag("--list", "list the model zoo and exit", &args.list)}},
+      argc, argv);
   return args;
-}
-
-nn::Network load_network(const std::string& model) {
-  if (model.size() > 5 && model.substr(model.size() - 5) == ".ftdl") {
-    std::ifstream in(model);
-    if (!in) throw Error("cannot open spec " + model);
-    std::ostringstream text;
-    text << in.rdbuf();
-    return frontend::parse_network_spec(text.str());
-  }
-  return nn::model_by_name(model);
 }
 
 /// Overlay the cycle-level phase runs on: small enough that functional
@@ -186,7 +140,9 @@ int main(int argc, char** argv) {
       session.set_store(std::make_shared<compiler::ProgramStore>(cache_dir));
     }
 
-    const nn::Network net = load_network(args.model);
+    const nn::Network net = args.model.ends_with(".ftdl")
+                                ? frontend::parse_network_file(args.model)
+                                : nn::model_by_name(args.model);
     std::printf("ftdl-prof: %s (%lld overlay MACs)\n", net.name().c_str(),
                 static_cast<long long>(overlay_macs(net)));
 

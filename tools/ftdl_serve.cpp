@@ -6,43 +6,24 @@
 // latency percentiles. With observability on it also writes
 //   trace.json    enqueue/batch/execute spans on client and worker tracks
 //   metrics.json  serve/* counters, queue-depth and latency gauges
+// and, with --stream, an ftdl-stream-v1 binary event log
+// (docs/obs-stream-format.md; replay/verify it with ftdl-obsq). A restarted
+// server with --cache-dir warm-starts its compiles from disk.
+// `ftdl-serve --bogus` prints the options (generated from the table below).
 //
-//   ftdl-serve [MODEL] [options]
-//     MODEL            Table I model name (default Sentimental-seqCNN)
-//                      or a .ftdl network-spec path
-//     --list           list the model zoo and exit
-//     --requests N     total requests to submit        (default 16)
-//     --clients N      load-generator threads          (default 4)
-//     --workers N      server worker threads           (default 2)
-//     --batch N        max dynamic batch size          (default 8)
-//     --timeout-us N   batch coalescing timeout        (default 2000)
-//     --depth N        admission queue depth           (default 64)
-//     --rate R         submissions/sec across all clients (0 = closed loop)
-//     --path ref|sim   execution path                  (default ref)
-//     --seed N         request input seed base         (default 1)
-//     --check          verify outputs bit-identical to a workers=1 rerun
-//     --trace FILE     trace output path               (default trace.json)
-//     --metrics FILE   metrics output path             (default metrics.json)
-//     --stream FILE    also record an ftdl-stream-v1 binary event log
-//                      (docs/obs-stream-format.md); replay/verify it with
-//                      ftdl-obsq (docs/operations.md)
-//     --cache-dir DIR  persistent program cache (FTDL_CACHE_DIR env); a
-//                      restarted server warm-starts its compiles from disk
+// Exit status: 0 = served (and --check passed), 1 = run error,
+// 2 = usage error.
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <fstream>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/cli.h"
 #include "common/error.h"
 #include "common/rng.h"
-#include "common/str_util.h"
 #include "compiler/program_store.h"
 #include "compiler/session.h"
 #include "frontend/spec_parser.h"
@@ -69,101 +50,47 @@ struct Args {
   double rate = 0.0;  ///< 0 = closed loop
   std::uint64_t seed = 1;
   std::string cache_dir;
-  bool sim_path = false;
+  std::string path = "ref";
   bool check = false;
   bool list = false;
 };
 
-[[noreturn]] void usage(const char* msg = nullptr) {
-  if (msg) std::fprintf(stderr, "ftdl-serve: %s\n", msg);
-  std::fprintf(stderr,
-               "usage: ftdl-serve [MODEL|SPEC.ftdl] [--requests N] "
-               "[--clients N] [--workers N]\n"
-               "                  [--batch N] [--timeout-us N] [--depth N] "
-               "[--rate R] [--path ref|sim]\n"
-               "                  [--seed N] [--check] [--trace FILE] "
-               "[--metrics FILE] [--stream FILE]\n"
-               "                  [--cache-dir DIR] [--list]\n");
-  std::exit(2);
-}
-
-/// Strict flag parsing (common/str_util): `--workers x8` is a usage error,
-/// never a silent 0.
-std::int64_t parse_int_flag(const char* opt, const char* s, std::int64_t min_v,
-                            std::int64_t max_v) {
-  std::int64_t v = 0;
-  if (!parse_int_strict(s, min_v, max_v, &v)) {
-    usage((std::string(opt) + " needs an integer in [" +
-           std::to_string(min_v) + ", " + std::to_string(max_v) + "], got '" +
-           s + "'")
-              .c_str());
-  }
-  return v;
-}
-
-double parse_nonneg_double_flag(const char* opt, const char* s) {
-  double v = 0.0;
-  if (!parse_double_strict(s, &v) || v < 0.0) {
-    usage((std::string(opt) + " needs a non-negative number, got '" + s + "'")
-              .c_str());
-  }
-  return v;
-}
-
 Args parse_args(int argc, char** argv) {
   Args args;
-  auto next = [&](int& i) -> const char* {
-    if (i + 1 >= argc) usage("missing option value");
-    return argv[++i];
-  };
-  for (int i = 1; i < argc; ++i) {
-    const char* a = argv[i];
-    if (std::strcmp(a, "--requests") == 0)
-      args.requests = static_cast<int>(parse_int_flag(a, next(i), 1, 1'000'000));
-    else if (std::strcmp(a, "--clients") == 0)
-      args.clients = static_cast<int>(parse_int_flag(a, next(i), 1, 10'000));
-    else if (std::strcmp(a, "--workers") == 0)
-      args.workers = static_cast<int>(parse_int_flag(a, next(i), 1, 10'000));
-    else if (std::strcmp(a, "--batch") == 0)
-      args.max_batch = static_cast<int>(parse_int_flag(a, next(i), 1, 100'000));
-    else if (std::strcmp(a, "--timeout-us") == 0)
-      args.timeout_us = parse_int_flag(a, next(i), 0, 1'000'000'000);
-    else if (std::strcmp(a, "--depth") == 0)
-      args.depth =
-          static_cast<std::size_t>(parse_int_flag(a, next(i), 1, 1'000'000));
-    else if (std::strcmp(a, "--rate") == 0)
-      args.rate = parse_nonneg_double_flag(a, next(i));
-    else if (std::strcmp(a, "--seed") == 0)
-      args.seed = static_cast<std::uint64_t>(
-          parse_int_flag(a, next(i), 0, 9'223'372'036'854'775'807LL));
-    else if (std::strcmp(a, "--cache-dir") == 0) args.cache_dir = next(i);
-    else if (std::strcmp(a, "--path") == 0) {
-      const std::string p = next(i);
-      if (p == "sim") args.sim_path = true;
-      else if (p != "ref") usage("--path must be ref or sim");
-    }
-    else if (std::strcmp(a, "--check") == 0) args.check = true;
-    else if (std::strcmp(a, "--trace") == 0) args.trace_path = next(i);
-    else if (std::strcmp(a, "--metrics") == 0) args.metrics_path = next(i);
-    else if (std::strcmp(a, "--stream") == 0) args.stream_path = next(i);
-    else if (std::strcmp(a, "--list") == 0) args.list = true;
-    else if (a[0] == '-') usage(("unknown option " + std::string(a)).c_str());
-    else args.model = a;
-  }
-  if (args.requests < 1) usage("--requests must be >= 1");
-  if (args.clients < 1) usage("--clients must be >= 1");
+  cli::parse(
+      {"ftdl-serve",
+       {"MODEL", "zoo model name or .ftdl spec path", &args.model, false},
+       {cli::integer("--requests", "N", "total requests to submit",
+                     &args.requests, 1, 1'000'000),
+        cli::integer("--clients", "N", "load-generator threads", &args.clients,
+                     1, 10'000),
+        cli::integer("--workers", "N", "server worker threads", &args.workers,
+                     1, 10'000),
+        cli::integer("--batch", "N", "max dynamic batch size", &args.max_batch,
+                     1, 100'000),
+        cli::integer("--timeout-us", "N", "batch coalescing timeout",
+                     &args.timeout_us, 0, 1'000'000'000),
+        cli::integer("--depth", "N", "admission queue depth", &args.depth, 1,
+                     1'000'000),
+        cli::real("--rate", "R",
+                  "submissions/s across all clients; 0 = closed loop",
+                  &args.rate, cli::Sign::NonNegative),
+        cli::choice("--path", "ref|sim", "execution path", &args.path),
+        cli::integer("--seed", "N", "request input seed base", &args.seed, 0,
+                     9'223'372'036'854'775'807LL),
+        cli::flag("--check", "check outputs bit-identical to workers=1",
+                  &args.check),
+        cli::text("--trace", "FILE", "trace output path", &args.trace_path),
+        cli::text("--metrics", "FILE", "metrics output path",
+                  &args.metrics_path),
+        cli::text("--stream", "FILE", "also record an ftdl-stream-v1 event log",
+                  &args.stream_path),
+        cli::text("--cache-dir", "DIR",
+                  "persistent program cache (else FTDL_CACHE_DIR env)",
+                  &args.cache_dir),
+        cli::flag("--list", "list the model zoo and exit", &args.list)}},
+      argc, argv);
   return args;
-}
-
-nn::Network load_network(const std::string& model) {
-  if (model.size() > 5 && model.substr(model.size() - 5) == ".ftdl") {
-    std::ifstream in(model);
-    if (!in) throw Error("cannot open spec " + model);
-    std::ostringstream text;
-    text << in.rdbuf();
-    return frontend::parse_network_spec(text.str());
-  }
-  return nn::model_by_name(model);
 }
 
 nn::Tensor16 request_input(const nn::Network& net, std::uint64_t seed) {
@@ -246,7 +173,7 @@ serve::ServerOptions server_options(const Args& args) {
   opt.max_batch = args.max_batch;
   opt.batch_timeout_us = args.timeout_us;
   opt.queue_depth = args.depth;
-  if (args.sim_path) {
+  if (args.path == "sim") {
     opt.exec.path = runtime::OverlayPath::CycleSim;
     // Scaled-down overlay: the functional simulator executes every MACC.
     opt.exec.config.d1 = 4;
@@ -280,7 +207,9 @@ int main(int argc, char** argv) {
           std::make_shared<compiler::ProgramStore>(cache_dir));
     }
 
-    const nn::Network net = load_network(args.model);
+    const nn::Network net = args.model.ends_with(".ftdl")
+                                ? frontend::parse_network_file(args.model)
+                                : nn::model_by_name(args.model);
     const runtime::WeightStore weights =
         runtime::WeightStore::random_for(net, args.seed + 1'000);
 

@@ -3,34 +3,19 @@
 // Compiles a network spec (see src/frontend/spec_parser.h for the grammar)
 // onto a parameterized overlay, printing the per-layer schedule and the
 // network roll-up; optionally emits the controllers' encoded instruction
-// streams.
+// streams, a whole-network bundle, a timing report and the overlay RTL.
+// `ftdlc --bogus` prints the options (generated from the table below).
 //
-//   ftdlc NETWORK.ftdl [options]
-//     --device NAME        target device          (default xcvu125)
-//     --d1 N --d2 N --d3 N overlay shape          (default 12 5 20)
-//     --clock MHZ          CLKh in MHz            (default 650)
-//     --objective obj1|obj2  scheduling objective (default obj1)
-//     --budget N           search budget/layer    (default 60000)
-//     --jobs N             compiler parallelism   (default: FTDL_JOBS env,
-//                          else the hardware thread count; output is
-//                          bit-identical for any value)
-//     --emit FILE          write instruction words (hex) to FILE
-//     --bundle FILE        write the whole-network ftdl-network bundle
-//     --verify             statically verify every emitted stream
-//     --timing             print the post-P&R style timing report
-//     --rtl DIR            generate the overlay's Verilog RTL into DIR
-//     --cache-dir DIR      persistent program cache (FTDL_CACHE_DIR env);
-//                          a second run warm-starts from disk
-//     --quiet              suppress the per-layer table
+// Exit status: 0 = compiled clean, 1 = compile/verify/analysis error,
+// 2 = usage error.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <memory>
 #include <string>
 
 #include "analyze/analyze.h"
 #include "analyze/network_io.h"
+#include "common/cli.h"
 #include "common/str_util.h"
 #include "common/table.h"
 #include "compiler/program_store.h"
@@ -58,90 +43,45 @@ struct Args {
   std::string rtl_dir;
 };
 
-[[noreturn]] void usage(const char* msg = nullptr) {
-  if (msg) std::fprintf(stderr, "ftdlc: %s\n", msg);
-  std::fprintf(stderr,
-               "usage: ftdlc NETWORK.ftdl [--device NAME] [--d1 N --d2 N "
-               "--d3 N]\n             [--clock MHZ] [--objective obj1|obj2] "
-               "[--budget N] [--jobs N]\n             [--emit FILE] "
-               "[--bundle FILE] [--cache-dir DIR] [--verify] [--quiet]\n");
-  std::exit(2);
-}
-
-/// Strict flag parsing (common/str_util): garbage like `--jobs x8` is a
-/// usage error, never a silent 0.
-int parse_int_flag(const char* opt, const char* s, std::int64_t min_v,
-                   std::int64_t max_v) {
-  std::int64_t v = 0;
-  if (!parse_int_strict(s, min_v, max_v, &v)) {
-    usage((std::string(opt) + " needs an integer in [" +
-           std::to_string(min_v) + ", " + std::to_string(max_v) + "], got '" +
-           s + "'")
-              .c_str());
-  }
-  return static_cast<int>(v);
-}
-
-double parse_pos_double_flag(const char* opt, const char* s) {
-  double v = 0.0;
-  if (!parse_double_strict(s, &v) || !(v > 0.0)) {
-    usage((std::string(opt) + " needs a positive number, got '" + s + "'")
-              .c_str());
-  }
-  return v;
-}
-
 Args parse_args(int argc, char** argv) {
   Args args;
-  auto next = [&](int& i) -> const char* {
-    if (i + 1 >= argc) usage("missing option value");
-    return argv[++i];
-  };
-  for (int i = 1; i < argc; ++i) {
-    const char* a = argv[i];
-    if (std::strcmp(a, "--device") == 0) args.fw.device_name = next(i);
-    else if (std::strcmp(a, "--d1") == 0)
-      args.fw.config.d1 = parse_int_flag(a, next(i), 1, 1'000'000);
-    else if (std::strcmp(a, "--d2") == 0)
-      args.fw.config.d2 = parse_int_flag(a, next(i), 1, 1'000'000);
-    else if (std::strcmp(a, "--d3") == 0)
-      args.fw.config.d3 = parse_int_flag(a, next(i), 1, 1'000'000);
-    else if (std::strcmp(a, "--clock") == 0) {
-      args.fw.config.clocks =
-          fpga::ClockPair::from_high(parse_pos_double_flag(a, next(i)) * 1e6);
-    } else if (std::strcmp(a, "--objective") == 0) {
-      const std::string v = next(i);
-      if (v == "obj1") args.fw.objective = compiler::Objective::Performance;
-      else if (v == "obj2") args.fw.objective = compiler::Objective::Balance;
-      else usage("objective must be obj1 or obj2");
-    } else if (std::strcmp(a, "--budget") == 0) {
-      args.fw.search_budget_per_layer =
-          parse_int_flag(a, next(i), 1, 1'000'000'000);
-    } else if (std::strcmp(a, "--jobs") == 0) {
-      args.fw.jobs = parse_int_flag(a, next(i), 1, 1024);
-    } else if (std::strcmp(a, "--cache-dir") == 0) {
-      args.cache_dir = next(i);
-    } else if (std::strcmp(a, "--emit") == 0) {
-      args.emit_path = next(i);
-    } else if (std::strcmp(a, "--bundle") == 0) {
-      args.bundle_path = next(i);
-    } else if (std::strcmp(a, "--quiet") == 0) {
-      args.quiet = true;
-    } else if (std::strcmp(a, "--verify") == 0) {
-      args.verify = true;
-    } else if (std::strcmp(a, "--timing") == 0) {
-      args.timing = true;
-    } else if (std::strcmp(a, "--rtl") == 0) {
-      args.rtl_dir = next(i);
-    } else if (a[0] == '-') {
-      usage((std::string("unknown option ") + a).c_str());
-    } else if (args.spec_path.empty()) {
-      args.spec_path = a;
-    } else {
-      usage("multiple spec files given");
-    }
-  }
-  if (args.spec_path.empty()) usage("no spec file given");
+  arch::OverlayConfig& cfg = args.fw.config;
+  double clock_mhz = cfg.clocks.clk_h_hz / 1e6;
+  std::string objective = "obj1";
+  cli::parse(
+      {"ftdlc",
+       {"NETWORK.ftdl", "network spec to compile", &args.spec_path, true},
+       {cli::text("--device", "NAME", "target device", &args.fw.device_name),
+        cli::integer("--d1", "N", "overlay D1", &cfg.d1, 1, 1'000'000),
+        cli::integer("--d2", "N", "overlay D2", &cfg.d2, 1, 1'000'000),
+        cli::integer("--d3", "N", "overlay D3", &cfg.d3, 1, 1'000'000),
+        cli::real("--clock", "MHZ", "CLKh in MHz", &clock_mhz,
+                  cli::Sign::Positive),
+        cli::choice("--objective", "obj1|obj2",
+                    "obj1 performance, obj2 balance", &objective),
+        cli::integer("--budget", "N", "mapping-search budget per layer",
+                     &args.fw.search_budget_per_layer, 1, 1'000'000'000),
+        cli::integer("--jobs", "N",
+                     "compiler parallelism (default FTDL_JOBS env, else "
+                     "hardware threads)",
+                     &args.fw.jobs, 1, 1024),
+        cli::text("--emit", "FILE", "write the instruction words (hex)",
+                  &args.emit_path),
+        cli::text("--bundle", "FILE", "write the ftdl-network bundle",
+                  &args.bundle_path),
+        cli::flag("--verify", "statically verify every emitted stream",
+                  &args.verify),
+        cli::flag("--timing", "print the post-P&R style timing report",
+                  &args.timing),
+        cli::text("--rtl", "DIR", "generate the overlay's Verilog RTL",
+                  &args.rtl_dir),
+        cli::text("--cache-dir", "DIR",
+                  "persistent program cache (else FTDL_CACHE_DIR env)",
+                  &args.cache_dir),
+        cli::flag("--quiet", "suppress the per-layer table", &args.quiet)}},
+      argc, argv);
+  cfg.clocks = fpga::ClockPair::from_high(clock_mhz * 1e6);
+  if (objective == "obj2") args.fw.objective = compiler::Objective::Balance;
   return args;
 }
 
