@@ -94,11 +94,21 @@ void BM_SimulateConvLayer(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulateConvLayer);
 
-// The SIMD before/after pair: one fc layer, every block of which is dense,
-// simulated with the vector dispatch forced off (scalar oracles) and on.
-// The ratio of the two MACC rates is the kernel-level speedup; the
-// BENCH_sim sweep reports the end-to-end layer numbers.
-void bench_dense_burst(benchmark::State& state, bool simd_on) {
+/// Overwrites `t` with alternating -32768 / 32767: products reach 2^30, so
+/// the simulator's range proof fails and its exact (int64) kernels run.
+void saturate(nn::Tensor16& t) {
+  for (std::int64_t i = 0; i < t.size(); ++i)
+    t[i] = static_cast<std::int16_t>(i % 2 != 0 ? 32767 : -32768);
+}
+
+// The SIMD before/after rows: one fc layer, every block of which is dense,
+// simulated with the vector dispatch forced off (scalar oracles) and on —
+// on ±7 data, where the range proof holds and the narrow (int32) kernels
+// run, and on saturated data, which forces the exact (int64) ones. The
+// ratios of the MACC rates are the kernel-level speedups; the BENCH_sim
+// sweep reports the end-to-end layer numbers.
+void bench_dense_burst(benchmark::State& state, bool simd_on,
+                       bool saturated) {
   const arch::OverlayConfig cfg = arch::paper_config();
   // A fully-connected layer (fc1000-shaped): its 2048-deep reduction
   // columns are the longest contiguous dot/axpy sweeps in the ResNet50
@@ -115,6 +125,10 @@ void bench_dense_burst(benchmark::State& state, bool simd_on) {
   nn::Tensor16 weights({1000, 2048});
   input.fill_random(rng);
   weights.fill_random(rng);
+  if (saturated) {
+    saturate(input);
+    saturate(weights);
+  }
   sim::SimOptions opt;
   opt.collect_trace = false;
   opt.jobs = 1;
@@ -125,18 +139,59 @@ void bench_dense_burst(benchmark::State& state, bool simd_on) {
   }
   simd::set_enabled(true);
   state.SetItemsProcessed(state.iterations() * layer.macs());
-  state.SetLabel(simd_on ? simd::isa_name() : "scalar");
+  state.SetLabel(std::string(simd_on ? simd::isa_name() : "scalar") +
+                 (saturated ? " exact" : " narrow"));
 }
 
 void BM_DenseBurstScalar(benchmark::State& state) {
-  bench_dense_burst(state, /*simd_on=*/false);
+  bench_dense_burst(state, /*simd_on=*/false, /*saturated=*/false);
 }
 BENCHMARK(BM_DenseBurstScalar);
 
 void BM_DenseBurstSimd(benchmark::State& state) {
-  bench_dense_burst(state, /*simd_on=*/true);
+  bench_dense_burst(state, /*simd_on=*/true, /*saturated=*/false);
 }
 BENCHMARK(BM_DenseBurstSimd);
+
+void BM_DenseBurstSimdSaturated(benchmark::State& state) {
+  bench_dense_burst(state, /*simd_on=*/true, /*saturated=*/true);
+}
+BENCHMARK(BM_DenseBurstSimdSaturated);
+
+// The ResNet50 stem (conv1/7x7_s2) through the steady-state runner on one
+// thread: at budget 2000 it runs an AxpyW plan (output channels
+// innermost), the Axpy half of the narrow path — the accumulators live in
+// int32 scratch for the whole 147-term reduction. Arg 0: ±7 data (narrow);
+// arg 1: saturated data (exact).
+void BM_StemAxpyW(benchmark::State& state) {
+  const arch::OverlayConfig cfg = arch::paper_config();
+  const nn::Layer layer = nn::make_conv("stem", 3, 224, 224, 64, 7, 2, 3);
+  const auto prog = compiler::compile_layer(layer, cfg,
+                                            compiler::Objective::Performance,
+                                            2'000);
+  Rng rng(9);
+  nn::Tensor16 input({3, 224, 224});
+  nn::Tensor16 weights({64, 3, 7, 7});
+  input.fill_random(rng);
+  weights.fill_random(rng);
+  const bool saturated = state.range(0) != 0;
+  if (saturated) {
+    saturate(input);
+    saturate(weights);
+  }
+  sim::CachedLayerSim runner(prog, cfg);
+  runner.load_weights(weights);
+  nn::AccTensor out;
+  for (auto _ : state) {
+    runner.run(input, out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * layer.macs());
+  state.SetLabel(std::string(simd::isa_name()) +
+                 (saturated ? " exact" : " narrow"));
+}
+BENCHMARK(BM_StemAxpyW)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 // Pool round-trip cost for a steady-state tensor shape: after the first
 // (warm-up) iteration every acquire is a free-list pop, so this measures

@@ -31,6 +31,12 @@ void axpy_i16_scalar(acc_t* out, const std::int16_t* in, std::int16_t w,
   for (std::int64_t j = 0; j < n; ++j) out[j] += wv * static_cast<acc_t>(in[j]);
 }
 
+void axpy_i16_narrow_scalar(std::int32_t* out, const std::int16_t* in,
+                            std::int16_t w, std::int64_t n) {
+  const std::int32_t wv = w;
+  for (std::int64_t j = 0; j < n; ++j) out[j] += wv * in[j];
+}
+
 namespace {
 
 #if defined(FTDL_SIMD_AVX2)
@@ -142,6 +148,58 @@ __attribute__((target("avx2"))) void axpy_i16_avx2(acc_t* out,
   for (; j < n; ++j) out[j] += wv * static_cast<acc_t>(in[j]);
 }
 
+// Narrow kernels (header docs: valid under the caller's range proof).
+// _mm256_madd_epi16 forms w[2i]*in[2i] + w[2i+1]*in[2i+1] per int32 lane:
+// the pair sum, like every later partial sum, is bounded by the proof, so
+// neither it nor the int32 adds can wrap.
+
+__attribute__((target("avx2"))) acc_t dot_i16_narrow_avx2(
+    const std::int16_t* w, const std::int16_t* in, std::int64_t n) {
+  __m256i acc = _mm256_setzero_si256();
+  std::int64_t j = 0;
+  for (; j + 16 <= n; j += 16) {
+    const __m256i vw =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(w + j));
+    const __m256i vi =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(in + j));
+    acc = _mm256_add_epi32(acc, _mm256_madd_epi16(vw, vi));
+  }
+  __m128i s = _mm_add_epi32(_mm256_castsi256_si128(acc),
+                            _mm256_extracti128_si256(acc, 1));
+  if (j + 8 <= n) {
+    const __m128i vw = _mm_loadu_si128(reinterpret_cast<const __m128i*>(w + j));
+    const __m128i vi =
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(in + j));
+    s = _mm_add_epi32(s, _mm_madd_epi16(vw, vi));
+    j += 8;
+  }
+  s = _mm_add_epi32(s, _mm_shuffle_epi32(s, _MM_SHUFFLE(1, 0, 3, 2)));
+  s = _mm_add_epi32(s, _mm_shuffle_epi32(s, _MM_SHUFFLE(2, 3, 0, 1)));
+  std::int32_t sum = _mm_cvtsi128_si32(s);
+  for (; j < n; ++j) sum += std::int32_t{w[j]} * in[j];
+  return sum;
+}
+
+// Products of the streamed operand with the broadcast one, in int32 and in
+// order: the input is sign-extended to (x, sign) int16 pairs and madd'ed
+// against (w, 0) pairs, giving x*w + sign*0 per lane — no unpack or lane
+// permute.
+__attribute__((target("avx2"))) void axpy_i16_narrow_avx2(
+    std::int32_t* out, const std::int16_t* in, std::int16_t w,
+    std::int64_t n) {
+  const __m256i vw = _mm256_set1_epi32(static_cast<std::uint16_t>(w));
+  std::int64_t j = 0;
+  for (; j + 8 <= n; j += 8) {
+    const __m256i x = _mm256_cvtepi16_epi32(
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(in + j)));
+    __m256i o = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(out + j));
+    o = _mm256_add_epi32(o, _mm256_madd_epi16(x, vw));
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + j), o);
+  }
+  const std::int32_t wv = w;
+  for (; j < n; ++j) out[j] += wv * in[j];
+}
+
 #endif  // FTDL_SIMD_AVX2
 
 #if defined(FTDL_SIMD_NEON)
@@ -195,10 +253,14 @@ using DotFn = acc_t (*)(const std::int16_t*, const std::int16_t*,
                         std::int64_t);
 using AxpyFn = void (*)(acc_t*, const std::int16_t*, std::int16_t,
                         std::int64_t);
+using Axpy32Fn = void (*)(std::int32_t*, const std::int16_t*, std::int16_t,
+                          std::int64_t);
 
 struct Impl {
   DotFn dot = dot_i16_scalar;
   AxpyFn axpy = axpy_i16_scalar;
+  DotFn dot_narrow = dot_i16_scalar;
+  Axpy32Fn axpy_narrow = axpy_i16_narrow_scalar;
   const char* name = "scalar";
   int lanes = 1;
 };
@@ -219,10 +281,14 @@ const Impl& vector_impl() {
     }
 #if defined(FTDL_SIMD_AVX2)
     if (__builtin_cpu_supports("avx2")) {
-      v = Impl{dot_i16_avx2, axpy_i16_avx2, "avx2", 16};
+      v = Impl{dot_i16_avx2,        axpy_i16_avx2,
+               dot_i16_narrow_avx2, axpy_i16_narrow_avx2,
+               "avx2",              16};
     }
 #elif defined(FTDL_SIMD_NEON)
-    v = Impl{dot_i16_neon, axpy_i16_neon, "neon", 8};
+    // No NEON narrow kernels: the exact dot and the scalar int32 axpy.
+    v = Impl{dot_i16_neon, axpy_i16_neon, dot_i16_neon, axpy_i16_narrow_scalar,
+             "neon",       8};
 #endif
     return v;
   }();
@@ -257,6 +323,16 @@ acc_t dot_i16_dispatch(const std::int16_t* w, const std::int16_t* in,
 void axpy_i16_dispatch(acc_t* out, const std::int16_t* in, std::int16_t w,
                        std::int64_t n) {
   active_impl().axpy(out, in, w, n);
+}
+
+acc_t dot_i16_narrow_dispatch(const std::int16_t* w, const std::int16_t* in,
+                              std::int64_t n) {
+  return active_impl().dot_narrow(w, in, n);
+}
+
+void axpy_i16_narrow_dispatch(std::int32_t* out, const std::int16_t* in,
+                              std::int16_t w, std::int64_t n) {
+  active_impl().axpy_narrow(out, in, w, n);
 }
 
 }  // namespace detail

@@ -140,19 +140,31 @@ using AccTensor = TensorT<acc_t>;
 /// Writes the transpose of the row-major `rows` x `cols` matrix at `src`
 /// to `dst` (row-major `cols` x `rows`), in square tiles so both sides
 /// stay in cache — the data movement of every layout change between
-/// channel-major (CHW, OIHW) and channel-innermost tensors.
-template <typename T>
-void transpose(const T* src, T* dst, std::int64_t rows, std::int64_t cols) {
+/// channel-major (CHW, OIHW) and channel-innermost tensors. `visit` sees
+/// every element once on the way, so a scan over the data (a range bound)
+/// rides on the copy instead of a second pass.
+template <typename T, typename Visit>
+void transpose(const T* src, T* dst, std::int64_t rows, std::int64_t cols,
+               Visit&& visit) {
   constexpr std::int64_t kTile = 32;
   for (std::int64_t r0 = 0; r0 < rows; r0 += kTile) {
     const std::int64_t r1 = r0 + kTile < rows ? r0 + kTile : rows;
     for (std::int64_t c0 = 0; c0 < cols; c0 += kTile) {
       const std::int64_t c1 = c0 + kTile < cols ? c0 + kTile : cols;
-      for (std::int64_t r = r0; r < r1; ++r)
-        for (std::int64_t c = c0; c < c1; ++c)
-          dst[c * rows + r] = src[r * cols + c];
+      for (std::int64_t r = r0; r < r1; ++r) {
+        for (std::int64_t c = c0; c < c1; ++c) {
+          const T v = src[r * cols + c];
+          visit(v);
+          dst[c * rows + r] = v;
+        }
+      }
     }
   }
+}
+
+template <typename T>
+void transpose(const T* src, T* dst, std::int64_t rows, std::int64_t cols) {
+  transpose(src, dst, rows, cols, [](const T&) {});
 }
 
 }  // namespace ftdl::nn

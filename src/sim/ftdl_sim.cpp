@@ -213,13 +213,41 @@ nn::Tensor16 relayout_weights(const Shape& s, nn::LayerKind kind,
 
 /// Re-lays a reference-layout input into `dst` for an InChannelInner run:
 /// conv {N,H,W} -> {H,W,N}, MM {M,P} -> {P,M}. `dst` is reshaped only when
-/// its dims differ (pooled under an installed arena).
-void relayout_input(const nn::Tensor16& in, nn::Tensor16& dst) {
+/// its dims differ (pooled under an installed arena). Returns max|x| over
+/// the input, folded into the same pass (the range proof's input bound).
+std::int32_t relayout_input(const nn::Tensor16& in, nn::Tensor16& dst) {
   const nn::Dims& d = in.dims();
   const nn::Dims want = d.size() == 2 ? nn::Dims{d[1], d[0]}
                                       : nn::Dims{d[1], d[2], d[0]};
   if (dst.dims() != want) dst = nn::Tensor16(want);
-  nn::transpose(in.data(), dst.data(), d[0], in.size() / d[0]);
+  detail::MagnitudeBound bound;
+  nn::transpose(in.data(), dst.data(), d[0], in.size() / d[0],
+                [&](std::int16_t v) { bound.add(v); });
+  return bound.value();
+}
+
+/// The engine-layout input of one run: `input` itself, or its
+/// InChannelInner re-layout into `relaid`. Sets `max_in` to max|x| over the
+/// input — fused into the re-layout's pass when there is one.
+const std::int16_t* engine_input(const nn::Tensor16& input,
+                                 OperandLayout layout, nn::Tensor16& relaid,
+                                 std::int32_t& max_in) {
+  if (layout != OperandLayout::InChannelInner) {
+    max_in = detail::max_abs(input.data(), input.size());
+    return input.data();
+  }
+  max_in = relayout_input(input, relaid);
+  return relaid.data();
+}
+
+/// Whether one run takes the narrow int32 kernels (the range proof of
+/// sim_engine.h); counts the choice.
+bool narrow_run(const detail::EngineTables& tables, std::int32_t max_w,
+                std::int32_t max_in) {
+  const bool narrow =
+      detail::narrow_accumulation_proven(tables, max_w, max_in);
+  obs::count(narrow ? "sim/narrow_layer_runs" : "sim/exact_layer_runs");
+  return narrow;
 }
 
 /// Copies `layout` output accumulators `eng` to `dst` in the reference
@@ -562,16 +590,15 @@ void run_engine(const compiler::LayerProgram& program, const Shape& shape,
   nn::Tensor16 eng_w, eng_in;
   nn::AccTensor eng_out;
   const std::int16_t* wp = weights.data();
-  const std::int16_t* ip = input.data();
   acc_t* op = output.data();
   if (weights_relaid(kind, tables.layout)) {
     eng_w = relayout_weights(shape, kind, tables.layout, weights.data());
     wp = eng_w.data();
   }
-  if (tables.layout == OperandLayout::InChannelInner) {
-    relayout_input(input, eng_in);
-    ip = eng_in.data();
-  }
+  std::int32_t max_in = 0;
+  const std::int16_t* ip = engine_input(input, tables.layout, eng_in, max_in);
+  const bool narrow = narrow_run(
+      tables, detail::max_abs(weights.data(), weights.size()), max_in);
   if (tables.layout == OperandLayout::OutChannelInner) {
     eng_out = nn::AccTensor(engine_out_dims(shape, kind, tables.layout));
     op = eng_out.data();
@@ -579,13 +606,14 @@ void run_engine(const compiler::LayerProgram& program, const Shape& shape,
   std::int64_t valid = 0;
   if (options.jobs == 1 || tables.chunks.size() == 1) {
     // A single chunk runs inline: no pool is touched, or even created.
-    valid = detail::run_functional(tables, wp, ip, op, nullptr);
+    valid = detail::run_functional(tables, wp, ip, op, nullptr, narrow);
   } else if (options.jobs == 0) {
-    valid = detail::run_functional(tables, wp, ip, op,
-                                   &compiler::CompilerSession::global().pool());
+    valid = detail::run_functional(
+        tables, wp, ip, op, &compiler::CompilerSession::global().pool(),
+        narrow);
   } else {
     ThreadPool pool(options.jobs);
-    valid = detail::run_functional(tables, wp, ip, op, &pool);
+    valid = detail::run_functional(tables, wp, ip, op, &pool, narrow);
   }
   if (tables.layout == OperandLayout::OutChannelInner)
     store_reference(shape, kind, tables.layout, eng_out, output.data());
@@ -704,6 +732,7 @@ struct CachedLayerSim::Impl {
   nn::LayerKind kind{};
   nn::Dims ref_w_dims, w_dims, in_dims, out_dims;
   nn::Tensor16 weights;  ///< load_weights(), in tables.layout
+  std::int32_t max_w = 0;  ///< max|w| over `weights` (range-proof bound)
 };
 
 CachedLayerSim::CachedLayerSim(const compiler::LayerProgram& program,
@@ -771,6 +800,7 @@ void CachedLayerSim::load_weights(const nn::Tensor16& weights,
   const std::int64_t first = weights.size() / d[0] * channel_offset;
   im.weights = relayout_weights(im.shape, im.kind, im.tables.layout,
                                 weights.data() + first);
+  im.max_w = detail::max_abs(im.weights.data(), im.weights.size());
 }
 
 void CachedLayerSim::store_output(const nn::AccTensor& out,
@@ -796,13 +826,12 @@ void CachedLayerSim::run(const nn::Tensor16& input, nn::AccTensor& out,
     std::fill(out.data(), out.data() + out.size(), acc_t{0});
 
   nn::Tensor16 relaid;  // InChannelInner scratch, pooled like `out`
-  const std::int16_t* ip = input.data();
-  if (im.tables.layout == OperandLayout::InChannelInner) {
-    relayout_input(input, relaid);
-    ip = relaid.data();
-  }
+  std::int32_t max_in = 0;
+  const std::int16_t* ip =
+      engine_input(input, im.tables.layout, relaid, max_in);
   const std::int64_t valid = detail::run_functional(
-      im.tables, im.weights.data(), ip, out.data(), pool);
+      im.tables, im.weights.data(), ip, out.data(), pool,
+      narrow_run(im.tables, im.max_w, max_in));
   FTDL_ASSERT(valid == im.stats.valid_maccs);
 
   if (obs::enabled()) {

@@ -210,9 +210,11 @@ class CachedLayerSim {
   /// weights are loaded), reshapes `out` to layout()'s output shape ({E,F,M}
   /// / {P,N} when OutChannelInner, the reference shape otherwise) if it
   /// does not already match — pooled under an installed TensorArena, like
-  /// the InChannelInner input scratch — zeroes it and accumulates the
-  /// layer. `pool` as in SimOptions::jobs: nullptr runs serially on the
-  /// caller. Bit-identical to simulate_layer's output after store_output().
+  /// the InChannelInner input scratch and the int32 accumulators of a
+  /// range-proven Axpy/AxpyW run (docs/simulator.md) — zeroes it and
+  /// accumulates the layer. `pool` as in SimOptions::jobs: nullptr runs
+  /// serially on the caller. Bit-identical to simulate_layer's output after
+  /// store_output().
   void run(const nn::Tensor16& input, nn::AccTensor& out,
            ThreadPool* pool = nullptr) const;
 

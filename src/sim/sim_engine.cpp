@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <array>
 #include <numeric>
+#include <type_traits>
 
+#include "common/arena.h"
 #include "common/error.h"
 #include "common/math_util.h"
 #include "common/simd.h"
@@ -339,6 +341,15 @@ EngineTables build_tables(const compiler::LayerProgram& program,
   tb.c_in = cin;
   tb.c_w = cw;
   tb.c_out = cout;
+  tb.reduction = 1;
+  tb.out_elems = 1;
+  for (int i = 0; i < k; ++i) {
+    const auto iu = static_cast<std::size_t>(i);
+    if (cout[iu] == 0)
+      tb.reduction *= tb.trip[iu];
+    else
+      tb.out_elems += cout[iu] * (tb.trip[iu] - 1);
+  }
   if (tb.conv) {
     tb.c_ry = cry;
     tb.c_cx = ccx;
@@ -600,15 +611,28 @@ BurstBases burst_bases(const EngineTables& tb, std::int64_t x, std::int64_t l) {
   return b;
 }
 
+using PK = EngineTables::PlanKind;
+
+/// Accumulator element of a plan kernel's output: int32 scratch on a narrow
+/// Axpy/AxpyW run, the caller's int64 accumulators otherwise (a narrow Dot
+/// keeps its int32 sum in registers for one sweep).
+template <PK K, bool Narrow>
+using Acc = std::conditional_t<Narrow && K != PK::Dot, std::int32_t, acc_t>;
+
 /// One contiguous sweep of n MACCs under plan kind K (header docs): the
-/// only place the plan kinds differ.
-template <EngineTables::PlanKind K>
+/// only place the plan kinds and accumulation widths differ.
+template <PK K, bool Narrow>
 inline void sweep(const std::int16_t* weights, const std::int16_t* input,
-                  acc_t* out, std::int64_t i0, std::int64_t w0,
+                  Acc<K, Narrow>* out, std::int64_t i0, std::int64_t w0,
                   std::int64_t o0, std::int64_t n) {
-  using PK = EngineTables::PlanKind;
   if constexpr (K == PK::Dot) {
-    out[o0] += simd::dot_i16(weights + w0, input + i0, n);
+    out[o0] += Narrow ? simd::dot_i16_narrow(weights + w0, input + i0, n)
+                      : simd::dot_i16(weights + w0, input + i0, n);
+  } else if constexpr (Narrow) {
+    if constexpr (K == PK::Axpy)
+      simd::axpy_i16_narrow(out + o0, input + i0, weights[w0], n);
+    else
+      simd::axpy_i16_narrow(out + o0, weights + w0, input[i0], n);
   } else if constexpr (K == PK::Axpy) {
     simd::axpy_i16(out + o0, input + i0, weights[w0], n);
   } else {
@@ -642,11 +666,12 @@ inline bool clip_image(std::int64_t p0, std::int64_t d, std::int64_t bound,
 /// image clip is one [clo, chi) interval per axis, computed once per t0
 /// when the row loop does not move the image coordinates. Returns the
 /// number of valid MACCs executed.
-template <EngineTables::PlanKind K>
+template <PK K, bool Narrow>
 std::int64_t burst_plan(const EngineTables& tb, const BurstBases& b,
                         std::int64_t begin, std::int64_t end,
                         const std::int16_t* FTDL_RESTRICT weights,
-                        const std::int16_t* FTDL_RESTRICT input, acc_t* out) {
+                        const std::int16_t* FTDL_RESTRICT input,
+                        Acc<K, Narrow>* out) {
   const int k = tb.k;
   const std::int64_t S = tb.S;
   const auto lcu = static_cast<std::size_t>(tb.col_loop);
@@ -691,7 +716,7 @@ std::int64_t burst_plan(const EngineTables& tb, const BurstBases& b,
         std::int64_t o0 = out_s + tb.out_t[t0u];
         for (std::int64_t r = 0; r < rows;
              ++r, i0 += tb.row_din, w0 += tb.row_dw, o0 += tb.row_dout)
-          sweep<K>(weights, input, out, i0, w0, o0, cols);
+          sweep<K, Narrow>(weights, input, out, i0, w0, o0, cols);
       }
       valid += dense_maccs;
       continue;
@@ -734,8 +759,8 @@ std::int64_t burst_plan(const EngineTables& tb, const BurstBases& b,
               clip_image(cx0, tb.col_dcx, tb.in_w, lo, hi)))
           continue;
         if (hi <= lo) continue;
-        sweep<K>(weights, input, out, i0 + lo * tb.col_din,
-                 w0 + lo * tb.col_dw, o0 + lo * tb.col_dout, hi - lo);
+        sweep<K, Narrow>(weights, input, out, i0 + lo * tb.col_din,
+                         w0 + lo * tb.col_dw, o0 + lo * tb.col_dout, hi - lo);
         valid += hi - lo;
       }
     }
@@ -744,30 +769,25 @@ std::int64_t burst_plan(const EngineTables& tb, const BurstBases& b,
 }
 
 /// Every burst (x, l) tile of one chunk under plan kind K.
-template <EngineTables::PlanKind K>
+template <PK K, bool Narrow>
 std::int64_t chunk_plan(const EngineTables& tb, const EngineTables::Chunk& c,
                         const std::int16_t* weights, const std::int16_t* input,
-                        acc_t* out) {
+                        Acc<K, Narrow>* out) {
   std::int64_t v = 0;
   for (const std::int64_t x : tb.burst_x)
     for (const std::int64_t l : tb.burst_l)
-      v += burst_plan<K>(tb, burst_bases(tb, x, l), c.begin, c.end, weights,
-                         input, out);
+      v += burst_plan<K, Narrow>(tb, burst_bases(tb, x, l), c.begin, c.end,
+                                 weights, input, out);
   return v;
 }
 
-}  // namespace
-
-std::int64_t run_functional(const EngineTables& tb, const std::int16_t* weights,
-                            const std::int16_t* input, acc_t* out,
-                            ThreadPool* pool) {
-  using PK = EngineTables::PlanKind;
-  FTDL_ASSERT(tb.plan_kind != PK::None);
-  const auto kernel = tb.plan_kind == PK::Dot    ? &chunk_plan<PK::Dot>
-                      : tb.plan_kind == PK::Axpy ? &chunk_plan<PK::Axpy>
-                                                 : &chunk_plan<PK::AxpyW>;
+/// Every chunk of the plan, fanned across `pool` when it has workers.
+template <PK K, bool Narrow>
+std::int64_t run_plan(const EngineTables& tb, const std::int16_t* weights,
+                      const std::int16_t* input, Acc<K, Narrow>* out,
+                      ThreadPool* pool) {
   auto run_chunk = [&](std::size_t ci) {
-    return kernel(tb, tb.chunks[ci], weights, input, out);
+    return chunk_plan<K, Narrow>(tb, tb.chunks[ci], weights, input, out);
   };
   const std::size_t n_chunks = tb.chunks.size();
   if (pool != nullptr && pool->jobs() > 1 && n_chunks > 1) {
@@ -784,6 +804,47 @@ std::int64_t run_functional(const EngineTables& tb, const std::int16_t* weights,
   std::int64_t total = 0;
   for (std::size_t ci = 0; ci < n_chunks; ++ci) total += run_chunk(ci);
   return total;
+}
+
+}  // namespace
+
+std::int32_t max_abs(const std::int16_t* v, std::int64_t n) {
+  MagnitudeBound bound;
+  for (std::int64_t j = 0; j < n; ++j) bound.add(v[j]);
+  return bound.value();
+}
+
+bool narrow_accumulation_proven(const EngineTables& tb, std::int32_t max_w,
+                                std::int32_t max_in) {
+  FTDL_ASSERT(tb.plan_kind != PK::None && max_w >= 0 && max_in >= 0);
+  const std::int64_t terms = tb.plan_kind == PK::Dot ? tb.cols : tb.reduction;
+  const std::int64_t product = std::int64_t{max_w} * max_in;  // <= 2^30
+  constexpr std::int64_t kInt32Max = (std::int64_t{1} << 31) - 1;
+  return product == 0 || terms <= kInt32Max / product;
+}
+
+std::int64_t run_functional(const EngineTables& tb, const std::int16_t* weights,
+                            const std::int16_t* input, acc_t* out,
+                            ThreadPool* pool, bool narrow) {
+  FTDL_ASSERT(tb.plan_kind != PK::None);
+  if (tb.plan_kind == PK::Dot) {
+    return narrow ? run_plan<PK::Dot, true>(tb, weights, input, out, pool)
+                  : run_plan<PK::Dot, false>(tb, weights, input, out, pool);
+  }
+  const bool axpy = tb.plan_kind == PK::Axpy;
+  if (!narrow) {
+    return axpy ? run_plan<PK::Axpy, false>(tb, weights, input, out, pool)
+                : run_plan<PK::AxpyW, false>(tb, weights, input, out, pool);
+  }
+  // Narrow Axpy/AxpyW: every output's whole reduction stays in int32
+  // scratch (zeroed, pooled under an installed arena), widened once here.
+  ArenaVec<std::int32_t> acc(tb.out_elems);
+  const std::int64_t valid =
+      axpy ? run_plan<PK::Axpy, true>(tb, weights, input, acc.data(), pool)
+           : run_plan<PK::AxpyW, true>(tb, weights, input, acc.data(), pool);
+  for (std::int64_t i = 0; i < tb.out_elems; ++i)
+    out[i] += acc[static_cast<std::size_t>(i)];
+  return valid;
 }
 
 std::int64_t count_valid_maccs(const EngineTables& tb) {

@@ -34,6 +34,13 @@
 //     arithmetic on the precomputed digit ranges: a block whose whole
 //     sweep is in-trip and free of pad clipping runs branch-free, the
 //     others clip each sweep;
+//   * accumulation width is proven per run: with max|w| known from the
+//     weights and max|in| from one scan of the input, a run whose int32
+//     accumulators provably cannot wrap (narrow_accumulation_proven) takes
+//     the narrow int32 kernels of common/simd.h — 8 lanes per AVX2 vector
+//     instead of 4 — and every other run the exact int64 ones. Both give
+//     the same bits; obs counts the choice (sim/narrow_layer_runs,
+//     sim/exact_layer_runs);
 //   * the spatial states are regrouped by their output-projection digits
 //     (the loops with a non-zero output-offset coefficient), so each group
 //     writes a disjoint set of output accumulators — the unit of parallel
@@ -47,6 +54,7 @@
 // ftdl_sim.cpp and the tests include it.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -167,6 +175,12 @@ struct EngineTables {
   /// here because it sizes the chunk count.
   std::int64_t valid_maccs = 0;
 
+  /// Per-output reduction length: the trip product of the loops that do
+  /// not move the output (conv in_c*kh*kw, depthwise kh*kw, MM mm_m).
+  std::int64_t reduction = 0;
+  /// Output accumulators the plan writes (max output offset + 1).
+  std::int64_t out_elems = 0;
+
   /// A contiguous range [begin, end) of the (group-reordered) spatial
   /// arrays whose output accumulators are disjoint from every other
   /// chunk's — the unit of parallel work. Groups: states agreeing on the
@@ -215,17 +229,48 @@ EngineTables build_tables(const compiler::LayerProgram& program,
                           int max_chunks = 64,
                           std::int64_t min_chunk_maccs = kMinChunkMaccs);
 
+/// Running max|v| over int16 values (32768 for -32768, 0 for none). The
+/// separate min/max folds vectorize without widening.
+struct MagnitudeBound {
+  std::int16_t lo = 0, hi = 0;
+  void add(std::int16_t v) {
+    lo = std::min(lo, v);
+    hi = std::max(hi, v);
+  }
+  std::int32_t value() const {
+    return std::max<std::int32_t>(hi, -std::int32_t{lo});
+  }
+};
+
+/// max|v[j]| over j in [0, n).
+std::int32_t max_abs(const std::int16_t* v, std::int64_t n);
+
+/// The range proof of the narrow accumulation path, given bounds on the
+/// magnitude of every weight (max_w) and input (max_in) of one run. Each
+/// int32 accumulator of the narrow kernels sums at most `n` products:
+///   Dot         n = tables.cols — one sweep, in registers, widened into
+///               its int64 output right after;
+///   Axpy/AxpyW  n = tables.reduction — an output's whole reduction, kept
+///               in int32 scratch for the run.
+/// No partial sum can then leave int32 when n * max_w * max_in < 2^31.
+bool narrow_accumulation_proven(const EngineTables& tables,
+                                std::int32_t max_w, std::int32_t max_in);
+
 /// Runs the plan kernel over every burst (x, l) tile — branch-free on
 /// interior blocks, clipped on edge ones — fanned across `pool` (nullptr,
 /// jobs()==1 or a single chunk runs serially on the caller).
 /// `weights`, `input` and `out` are in tables.layout (the caller re-lays
-/// them); `out` is zero-initialized by the caller. Returns the number of
-/// valid MACCs executed. Output writes are chunk-disjoint, so the result is
-/// bit-identical at any jobs count.
+/// them); `out` is zero-initialized by the caller. `narrow` selects the
+/// int32 kernels and may be set only when narrow_accumulation_proven holds
+/// for this run's operands; an Axpy/AxpyW plan then accumulates into
+/// int32 scratch drawn from the installed TensorArena and widens it into
+/// `out` at the end. Returns the number of valid MACCs executed. Output
+/// writes are chunk-disjoint, so the result is bit-identical at any jobs
+/// count, and on either accumulation width.
 std::int64_t run_functional(const EngineTables& tables,
                             const std::int16_t* weights,
                             const std::int16_t* input, acc_t* out,
-                            ThreadPool* pool);
+                            ThreadPool* pool, bool narrow = false);
 
 /// Counts the valid MACCs of every burst by interval arithmetic on the loop
 /// bounds without touching tensors — exactly the count run_functional would

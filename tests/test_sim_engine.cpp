@@ -17,6 +17,7 @@
 #include "compiler/search.h"
 #include "nn/model_zoo.h"
 #include "nn/reference.h"
+#include "obs/obs.h"
 #include "sim/ftdl_sim.h"
 #include "sim/sim_engine.h"
 
@@ -159,6 +160,20 @@ void expect_fine_chunks_match_serial(const compiler::LayerProgram& prog,
   EXPECT_EQ(b, a) << fine.chunks.size() << " chunks vs serial: "
                   << prog.mapping.to_string(prog.workload);
   EXPECT_EQ(c, a) << "forced-scalar, " << fine.chunks.size() << " chunks";
+
+  // The narrow (int32) kernels on the same fan-out, where the data lets
+  // the range proof hold.
+  if (sim::detail::narrow_accumulation_proven(
+          fine,
+          sim::detail::max_abs(data.weights.data(), data.weights.size()),
+          sim::detail::max_abs(data.input.data(), data.input.size()))) {
+    nn::AccTensor d({static_cast<int>(output_elems(prog.layer))});
+    EXPECT_EQ(sim::detail::run_functional(fine, data.weights.data(),
+                                          data.input.data(), d.data(), &pool,
+                                          /*narrow=*/true),
+              va);
+    EXPECT_EQ(d, a) << "narrow, " << fine.chunks.size() << " chunks";
+  }
 }
 
 class EngineSweep : public ::testing::TestWithParam<int> {};
@@ -573,6 +588,108 @@ TEST(SimEngine, LayoutPlansMatchReferenceAndScalar) {
     cached.store_output(out, stored.data());
     EXPECT_EQ(stored, one_shot.output);
   }
+}
+
+// ---- range-proven accumulation width ----------------------------------------
+
+/// Runs `prog` through simulate_layer and CachedLayerSim at jobs 1 and 4,
+/// with SIMD on and off: every output must equal the Reference
+/// interpreter's, and every run must record the narrow (int32) path when
+/// `narrow`, the exact one otherwise, in the sim/*_layer_runs counters.
+void expect_accumulation_path(const compiler::LayerProgram& prog,
+                              const arch::OverlayConfig& cfg,
+                              const LayerData& data, bool narrow) {
+  sim::SimOptions ref_opt;
+  ref_opt.engine = sim::SimEngine::Reference;
+  const sim::SimResult ref =
+      sim::simulate_layer(prog, cfg, data.weights, data.input, ref_opt);
+
+  obs::Registry& reg = obs::Registry::global();
+  reg.reset();
+  obs::set_enabled(true);
+  ThreadPool pool(4);
+  std::int64_t runs = 0;
+  for (bool simd_on : {true, false}) {
+    simd::set_enabled(simd_on);
+    for (int jobs : {1, 4}) {
+      SCOPED_TRACE("simd " + std::to_string(simd_on) + ", jobs " +
+                   std::to_string(jobs));
+      sim::SimOptions opt;
+      opt.jobs = jobs;
+      EXPECT_EQ(
+          sim::simulate_layer(prog, cfg, data.weights, data.input, opt).output,
+          ref.output);
+      sim::CachedLayerSim cached(prog, cfg, opt);
+      cached.load_weights(data.weights);
+      nn::AccTensor out;
+      cached.run(data.input, out, jobs > 1 ? &pool : nullptr);
+      nn::AccTensor stored(ref.output.dims());
+      cached.store_output(out, stored.data());
+      EXPECT_EQ(stored, ref.output);
+      runs += 2;
+    }
+  }
+  simd::set_enabled(true);
+  const std::int64_t narrow_runs = reg.counter("sim/narrow_layer_runs");
+  const std::int64_t exact_runs = reg.counter("sim/exact_layer_runs");
+  obs::set_enabled(false);
+  reg.reset();
+  EXPECT_EQ(narrow_runs, narrow ? runs : 0);
+  EXPECT_EQ(exact_runs, narrow ? 0 : runs);
+}
+
+// ±7 data, the simulator's own range: every plan kind and layout proves
+// its int32 accumulators safe and takes the narrow kernels.
+TEST(SimEngine, SmallDataTakesTheNarrowPath) {
+  const arch::OverlayConfig cfg = arch::paper_config();
+  for (const LayoutCase& c : layout_cases()) {
+    SCOPED_TRACE(c.what);
+    expect_accumulation_path(hand_program(c.layer, c.tiles, cfg), cfg,
+                             make_data(c.layer, 23), /*narrow=*/true);
+  }
+}
+
+// Data saturated with -32768/32767: a product reaches 2^30, so any
+// accumulator that sums two of them fails the proof and the exact kernels
+// run. A 1-column Dot sums one product per int32 sum, which always fits.
+TEST(SimEngine, SaturatedDataTakesTheExactPath) {
+  const arch::OverlayConfig cfg = arch::paper_config();
+  for (const LayoutCase& c : layout_cases()) {
+    SCOPED_TRACE(c.what);
+    expect_accumulation_path(hand_program(c.layer, c.tiles, cfg), cfg,
+                             extreme_data(c.layer, 29),
+                             /*narrow=*/c.one_column);
+  }
+}
+
+// An AxpyW layer whose sweep is short (32 output channels) but whose
+// per-output reduction is long (in_c 16 x 3x3 = 144 terms): with every
+// operand 4096, one sweep's worth of products fits in int32 (32 * 2^24)
+// while a whole reduction (144 * 2^24 > 2^31) would wrap — so the proof
+// must bound the int32 scratch by the reduction length and fail.
+TEST(SimEngine, AxpyProofBoundsTheWholeReduction) {
+  const arch::OverlayConfig cfg = arch::paper_config();
+  const nn::Layer layer =
+      nn::make_conv("long_k_axpyw", 16, 10, 10, 32, 3, 1, 1);
+  // Conv tiles {M, N, E, F, R, S} per level D1, D2, D3, X, L, T: M is a
+  // 32-wide T tile, N/R/S run at L.
+  const Tiles tiles{{{1, 1, 1, 10, 1, 1}, {1, 1, 5, 1, 1, 1},
+                     {1, 1, 2, 1, 1, 1}, {1, 1, 1, 1, 1, 1},
+                     {1, 16, 1, 1, 3, 3}, {32, 1, 1, 1, 1, 1}}};
+  const compiler::LayerProgram prog = hand_program(layer, tiles, cfg);
+  const sim::detail::EngineTables tb = sim::detail::build_tables(prog);
+  ASSERT_EQ(tb.plan_kind, PlanKind::AxpyW);
+  ASSERT_EQ(tb.reduction, 16 * 3 * 3);
+  constexpr std::int64_t kOperand = 4096;
+  constexpr std::int64_t kInt32Max = (std::int64_t{1} << 31) - 1;
+  EXPECT_LE(tb.cols * kOperand * kOperand, kInt32Max);
+  EXPECT_GT(tb.reduction * kOperand * kOperand, kInt32Max);
+  EXPECT_FALSE(sim::detail::narrow_accumulation_proven(tb, kOperand, kOperand));
+
+  LayerData data = make_data(layer, 37);
+  for (nn::Tensor16* t : {&data.weights, &data.input})
+    std::fill(t->data(), t->data() + t->size(), std::int16_t{kOperand});
+  expect_accumulation_path(prog, cfg, data, /*narrow=*/false);
 }
 
 // ---- level-spanning sweeps ---------------------------------------------------

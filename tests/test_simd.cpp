@@ -1,9 +1,12 @@
-// SIMD kernel unit tests: the vector dot/axpy paths must be bit-identical
-// to the scalar oracles for every width and every int16 value — including
-// the (-32768)*(-32768) corner that overflows pairwise multiply-add
-// instructions. Widths sweep 0..2*lanes+3 so every tail length of the
-// widest implementation (16 int16 lanes on AVX2) is hit on both sides of
-// the kInlineCutoff inline/dispatch boundary.
+// SIMD kernel unit tests: the exact vector dot/axpy paths must be
+// bit-identical to the scalar oracles for every width and every int16
+// value — including the (-32768)*(-32768) corner that overflows pairwise
+// multiply-add instructions. Widths sweep 0..2*lanes+3 so every tail length
+// of the widest implementation (16 int16 lanes on AVX2) is hit on both
+// sides of the kInlineCutoff inline/dispatch boundary. The narrow (int32)
+// kernels are pinned the same way, at widths 0..80, on data inside their
+// range precondition — and at its edge, where a sum reaches 2^31-1.
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <random>
@@ -160,6 +163,108 @@ TEST(Simd, LongRandomSweepsMatch) {
     axpy_i16(fast.data(), in.data(), w[0], n);
     axpy_i16_scalar(ref.data(), in.data(), w[0], n);
     EXPECT_EQ(fast, ref) << "seed " << seed;
+  }
+}
+
+/// Uniform int16 values in [-mag, mag].
+std::vector<std::int16_t> bounded_i16(std::int64_t n, int mag,
+                                      std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::uniform_int_distribution<int> dist(-mag, mag);
+  std::vector<std::int16_t> v(static_cast<std::size_t>(n));
+  for (auto& x : v) x = static_cast<std::int16_t>(dist(rng));
+  return v;
+}
+
+constexpr std::int64_t kNarrowMaxWidth = 80;
+
+// Every width 0..80 with |w|, |in| <= 4096: 80 * 2^24 < 2^31 keeps every
+// dot inside the narrow precondition; ±7 is the simulator's own data.
+TEST(Simd, NarrowDotMatchesScalarAcrossWidths) {
+  for (int mag : {7, 4096}) {
+    for (std::int64_t n = 0; n <= kNarrowMaxWidth; ++n) {
+      const auto seed = static_cast<std::uint64_t>(n * 8 + mag);
+      const auto w = bounded_i16(n, mag, seed);
+      const auto in = bounded_i16(n, mag, seed + 1);
+      EXPECT_EQ(dot_i16_narrow(w.data(), in.data(), n),
+                dot_i16_scalar(w.data(), in.data(), n))
+          << "width " << n << " magnitude " << mag;
+    }
+  }
+}
+
+// One product per output lane: any int16 pair fits, -32768 included.
+TEST(Simd, NarrowAxpyMatchesScalarAcrossWidths) {
+  for (std::int64_t n = 0; n <= kNarrowMaxWidth; ++n) {
+    const auto in = random_i16(n, 41 + static_cast<std::uint64_t>(n));
+    for (std::int16_t w : {std::int16_t{-32768}, std::int16_t{-7},
+                           std::int16_t{0}, std::int16_t{1},
+                           std::int16_t{32767}}) {
+      std::vector<std::int32_t> fast(static_cast<std::size_t>(n), -5);
+      std::vector<std::int32_t> ref(static_cast<std::size_t>(n), -5);
+      std::vector<acc_t> exact(static_cast<std::size_t>(n), -5);
+      axpy_i16_narrow(fast.data(), in.data(), w, n);
+      axpy_i16_narrow_scalar(ref.data(), in.data(), w, n);
+      axpy_i16_scalar(exact.data(), in.data(), w, n);
+      EXPECT_EQ(fast, ref) << "width " << n << " w " << w;
+      for (std::size_t j = 0; j < fast.size(); ++j)
+        ASSERT_EQ(fast[j], exact[j]) << "width " << n << " w " << w;
+    }
+  }
+}
+
+// The edge of the precondition: sums that land exactly on ±(2^31-1) in a
+// single int32 lane, so a wrap (or a saturating add) anywhere would show.
+TEST(Simd, NarrowKernelsReachInt32MaxWithoutWrapping) {
+  constexpr acc_t kMax = 2147483647;  // 2^31 - 1
+  // 2 * 32767^2 + 4 * 32767 + 1 == 2^31 - 1. Every term sits at an index
+  // == 0 or 1 (mod 16): the same int32 lane of a 16-wide madd kernel.
+  const std::int64_t n = 64;
+  std::vector<std::int16_t> w(static_cast<std::size_t>(n), 0);
+  std::vector<std::int16_t> in(static_cast<std::size_t>(n), 0);
+  const std::array<std::array<int, 3>, 7> terms{{{0, 32767, 32767},
+                                                 {1, 32767, 32767},
+                                                 {16, 32767, 1},
+                                                 {17, 32767, 1},
+                                                 {32, 32767, 1},
+                                                 {33, 32767, 1},
+                                                 {48, 1, 1}}};
+  for (const auto& [at, wv, iv] : terms) {
+    w[static_cast<std::size_t>(at)] = static_cast<std::int16_t>(wv);
+    in[static_cast<std::size_t>(at)] = static_cast<std::int16_t>(iv);
+  }
+  EXPECT_EQ(dot_i16_scalar(w.data(), in.data(), n), kMax);
+  EXPECT_EQ(dot_i16_narrow(w.data(), in.data(), n), kMax);
+  for (auto& v : in) v = static_cast<std::int16_t>(-v);
+  EXPECT_EQ(dot_i16_narrow(w.data(), in.data(), n), -kMax);
+
+  // axpy: every lane starts one 32767^2 product short of ±(2^31-1).
+  for (std::int64_t width = 0; width <= kNarrowMaxWidth; ++width) {
+    const std::vector<std::int16_t> x(static_cast<std::size_t>(width), 32767);
+    for (const std::int16_t wv : {std::int16_t{32767}, std::int16_t{-32767}}) {
+      const acc_t target = wv > 0 ? kMax : -kMax;
+      const auto start = static_cast<std::int32_t>(
+          target - acc_t{wv} * acc_t{32767});
+      std::vector<std::int32_t> out(static_cast<std::size_t>(width), start);
+      axpy_i16_narrow(out.data(), x.data(), wv, width);
+      for (const std::int32_t v : out)
+        ASSERT_EQ(v, target) << "width " << width << " w " << wv;
+    }
+  }
+}
+
+TEST(Simd, NarrowKernelsFollowSetEnabled) {
+  const auto w = bounded_i16(50, 4096, 7);
+  const auto in = bounded_i16(50, 4096, 8);
+  const acc_t want = dot_i16_scalar(w.data(), in.data(), 50);
+  std::vector<std::int32_t> want_axpy(50, 3);
+  axpy_i16_narrow_scalar(want_axpy.data(), in.data(), w[0], 50);
+  for (bool on : {false, true}) {
+    set_enabled(on);
+    EXPECT_EQ(dot_i16_narrow(w.data(), in.data(), 50), want) << on;
+    std::vector<std::int32_t> got(50, 3);
+    axpy_i16_narrow(got.data(), in.data(), w[0], 50);
+    EXPECT_EQ(got, want_axpy) << on;
   }
 }
 

@@ -24,7 +24,6 @@
 #include "arch/overlay_config.h"
 #include "common/cli.h"
 #include "common/error.h"
-#include "common/rng.h"
 #include "compiler/program_store.h"
 #include "compiler/session.h"
 #include "frontend/spec_parser.h"
@@ -34,6 +33,7 @@
 #include "obs/obs.h"
 #include "obs/stream_writer.h"
 #include "runtime/executor.h"
+#include "tool_report.h"
 
 namespace {
 
@@ -104,17 +104,6 @@ std::int64_t overlay_macs(const nn::Network& net) {
   return macs;
 }
 
-nn::Tensor16 network_input(const nn::Network& net, Rng& rng) {
-  const nn::Layer& first = net.layers().front();
-  nn::Tensor16 input =
-      first.kind == nn::LayerKind::MatMul
-          ? nn::Tensor16({static_cast<int>(first.mm_m),
-                          static_cast<int>(first.mm_p)})
-          : nn::Tensor16({first.in_c, first.in_h, first.in_w});
-  input.fill_random(rng);
-  return input;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -183,15 +172,14 @@ int main(int argc, char** argv) {
       obs::count("prof/sim_skipped");
     } else {
       try {
-        Rng rng(1);
         const runtime::WeightStore weights =
             runtime::WeightStore::random_for(net, 2);
         runtime::ExecOptions opt;
         opt.path = runtime::OverlayPath::CycleSim;
         opt.config = sim_config();
         opt.search_budget_per_layer = args.budget;
-        const runtime::ExecResult r =
-            runtime::run_network(net, network_input(net, rng), weights, opt);
+        const runtime::ExecResult r = runtime::run_network(
+            net, tools::network_input(net, 1), weights, opt);
         std::printf("  cycle sim: %lld cycles over %zu layer runs\n",
                     static_cast<long long>(r.total_sim_cycles),
                     r.runs.size());
@@ -213,14 +201,7 @@ int main(int argc, char** argv) {
                 static_cast<long long>(ss.misses),
                 static_cast<long long>(ss.entries),
                 double(ss.program_bytes) / 1024.0);
-    if (!cache_dir.empty()) {
-      std::printf("  cache %s: disk_hits=%lld disk_misses=%lld "
-                  "disk_evictions=%lld disk_bytes=%lld\n",
-                  cache_dir.c_str(), static_cast<long long>(ss.disk_hits),
-                  static_cast<long long>(ss.disk_misses),
-                  static_cast<long long>(ss.disk_evictions),
-                  static_cast<long long>(ss.disk_bytes));
-    }
+    if (!cache_dir.empty()) tools::print_cache_stats("  ", cache_dir, ss);
 
     reg.write_chrome_trace(args.trace_path);
     reg.write_metrics(args.metrics_path);
@@ -228,15 +209,8 @@ int main(int argc, char** argv) {
                 args.trace_path.c_str(), reg.event_count(),
                 args.metrics_path.c_str(), reg.metrics().counters.size(),
                 reg.metrics().gauges.size());
-    if (reg.stream_attached()) {
-      const obs::stream::StreamStats ss = reg.detach_stream();
-      std::printf("wrote %s (%llu records, %llu chunks, %llu bytes)\n",
-                  args.stream_path.c_str(),
-                  static_cast<unsigned long long>(ss.records),
-                  static_cast<unsigned long long>(
-                      ss.data_chunks + ss.string_chunks),
-                  static_cast<unsigned long long>(ss.bytes_written));
-    }
+    if (reg.stream_attached())
+      tools::print_stream_stats(args.stream_path, reg.detach_stream());
     return 0;
   } catch (const Error& e) {
     std::fprintf(stderr, "ftdl-prof: %s\n", e.what());

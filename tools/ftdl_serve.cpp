@@ -23,7 +23,6 @@
 
 #include "common/cli.h"
 #include "common/error.h"
-#include "common/rng.h"
 #include "compiler/program_store.h"
 #include "compiler/session.h"
 #include "frontend/spec_parser.h"
@@ -31,6 +30,7 @@
 #include "obs/obs.h"
 #include "obs/stream_writer.h"
 #include "serve/serve.h"
+#include "tool_report.h"
 
 namespace {
 
@@ -93,18 +93,6 @@ Args parse_args(int argc, char** argv) {
   return args;
 }
 
-nn::Tensor16 request_input(const nn::Network& net, std::uint64_t seed) {
-  const nn::Layer& first = net.layers().front();
-  nn::Tensor16 input =
-      first.kind == nn::LayerKind::MatMul
-          ? nn::Tensor16({static_cast<int>(first.mm_m),
-                          static_cast<int>(first.mm_p)})
-          : nn::Tensor16({first.in_c, first.in_h, first.in_w});
-  Rng rng(seed);
-  input.fill_random(rng);
-  return input;
-}
-
 struct LoadResult {
   std::vector<nn::Tensor16> outputs;  ///< indexed by request; empty if lost
   std::int64_t submitted = 0;
@@ -142,7 +130,7 @@ LoadResult run_load(serve::Server& server, const nn::Network& net,
           std::this_thread::sleep_until(due);
         }
         serve::Submission s =
-            server.submit(request_input(net, args.seed + std::uint64_t(i)));
+            server.submit(tools::network_input(net, args.seed + std::uint64_t(i)));
         if (!s.accepted) {
           rejected.fetch_add(1);
           continue;
@@ -237,15 +225,8 @@ int main(int argc, char** argv) {
                 st.latency.percentile(99.0), st.latency.max_us());
 
     if (!cache_dir.empty()) {
-      const compiler::SessionStats cs =
-          compiler::CompilerSession::global().stats();
-      std::printf(
-          "  cache %s: disk_hits=%lld disk_misses=%lld disk_evictions=%lld "
-          "disk_bytes=%lld\n",
-          cache_dir.c_str(), static_cast<long long>(cs.disk_hits),
-          static_cast<long long>(cs.disk_misses),
-          static_cast<long long>(cs.disk_evictions),
-          static_cast<long long>(cs.disk_bytes));
+      tools::print_cache_stats("  ", cache_dir,
+                               compiler::CompilerSession::global().stats());
     }
 
     if (args.check) {
@@ -260,7 +241,7 @@ int main(int argc, char** argv) {
       for (int i = 0; i < args.requests; ++i) {
         if (lr.outputs[static_cast<std::size_t>(i)].size() == 0) continue;
         serve::Submission s =
-            ref.submit(request_input(net, args.seed + std::uint64_t(i)));
+            ref.submit(tools::network_input(net, args.seed + std::uint64_t(i)));
         if (!s.accepted) throw Error("check rerun rejected a request");
         if (!(s.result.get().output == lr.outputs[static_cast<std::size_t>(i)]))
           throw Error("determinism check FAILED at request " +
@@ -276,15 +257,8 @@ int main(int argc, char** argv) {
     reg.write_metrics(args.metrics_path);
     std::printf("wrote %s (%zu events) and %s\n", args.trace_path.c_str(),
                 reg.event_count(), args.metrics_path.c_str());
-    if (reg.stream_attached()) {
-      const obs::stream::StreamStats ss = reg.detach_stream();
-      std::printf("wrote %s (%llu records, %llu chunks, %llu bytes)\n",
-                  args.stream_path.c_str(),
-                  static_cast<unsigned long long>(ss.records),
-                  static_cast<unsigned long long>(
-                      ss.data_chunks + ss.string_chunks),
-                  static_cast<unsigned long long>(ss.bytes_written));
-    }
+    if (reg.stream_attached())
+      tools::print_stream_stats(args.stream_path, reg.detach_stream());
     return 0;
   } catch (const Error& e) {
     std::fprintf(stderr, "ftdl-serve: %s\n", e.what());

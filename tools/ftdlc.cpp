@@ -26,6 +26,7 @@
 #include "rtlgen/verilog_gen.h"
 #include "timing/timing_report.h"
 #include "verify/verifier.h"
+#include "tool_report.h"
 
 namespace {
 
@@ -141,15 +142,8 @@ int main(int argc, char** argv) {
         report.power.total_w(), report.gops_per_w());
 
     if (!cache_dir.empty()) {
-      const compiler::SessionStats cs =
-          compiler::CompilerSession::global().stats();
-      std::printf(
-          "cache %s: disk_hits=%lld disk_misses=%lld disk_evictions=%lld "
-          "disk_bytes=%lld\n",
-          cache_dir.c_str(), static_cast<long long>(cs.disk_hits),
-          static_cast<long long>(cs.disk_misses),
-          static_cast<long long>(cs.disk_evictions),
-          static_cast<long long>(cs.disk_bytes));
+      tools::print_cache_stats("", cache_dir,
+                               compiler::CompilerSession::global().stats());
     }
 
     if (args.verify) {
